@@ -33,6 +33,7 @@ from .filters import (
     resolve_epsilon,
     abc_apf_step,
     abc_apf_run,
+    abc_smc_step,
     abc_smc_run,
     kalman_run,
 )

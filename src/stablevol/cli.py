@@ -1,7 +1,7 @@
 """Command-line front end: simulate data, filter it, or run a full study.
 
-Exit codes: 0 on success, 2 on configuration/validation errors, 3 on
-numerical failures.
+Exit codes: 0 on success, 2 on configuration/validation errors (including
+non-finite observations), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from .kernels import KernelSpec
 from .proposals import ProposalSpec, SeriesConvergenceError
 from .stable import QuadratureError
 
-_NUMERICAL_ERRORS = (QuadratureError, SeriesConvergenceError, DegenerateCloudError)
+_NUMERICAL_ERRORS = (
+    QuadratureError, SeriesConvergenceError, DegenerateCloudError, FloatingPointError
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

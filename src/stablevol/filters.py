@@ -1,34 +1,40 @@
 """Likelihood-free particle filters and the exact linear-Gaussian benchmark.
 
-The main algorithm is an ABC auxiliary particle filter (``abc_apf_run``):
-at each step the previous cloud is tilted by a cheap proposal density
-p_hat(y_t | xi) evaluated at the per-particle transition mean xi, resampled,
-propagated through the state transition, and reweighted by an ABC kernel
-applied to the gap between one simulated pseudo-observation per particle and
-the recorded observation, divided by the parent's tilt (standard auxiliary
-correction).
+Both filters share one loop, ``_run``: it draws the prior cloud from the
+model's stationary law, applies a step function once per observation and
+records the weighted mean, the ESS and the resample/degeneracy counters.
+The filters differ only in their step:
 
-``abc_smc_run`` is the adaptive-tolerance ABC-SMC baseline: propagate first,
-then keep the particles whose pseudo-observations land within the step's
-distance percentile.
+* ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
+  filter: the previous cloud is tilted by a cheap proposal density
+  p_hat(y_t | xi) evaluated at the per-particle transition mean xi,
+  resampled, propagated through the state transition, and reweighted by an
+  ABC kernel applied to the gap between one simulated pseudo-observation per
+  particle and the recorded observation, divided by the parent's tilt
+  (standard auxiliary correction).
+* ``abc_smc_step`` (run by ``abc_smc_run``) is the adaptive-tolerance ABC-SMC
+  baseline: resample the carried weights, propagate, then keep the particles
+  whose pseudo-observations land within the step's distance percentile.
 
 Models are duck-typed: anything with ``initial_sample(rng, size)``,
-``transition_mean(h)``, ``transition_sample(h, rng)`` and
-``observe_sample(h, rng)`` works (``SvmParams`` and ``LinearGaussianParams``
-both do).  All weights live in log space; a cloud whose weights all vanish is
-reset to uniform and counted rather than aborting the run.
+``transition_mean(h)``, ``transition_sample(h, rng)``,
+``observe_sample(h, rng)`` and ``observation_scale(h)`` works (``SvmParams``
+and ``LinearGaussianParams`` both do).  All weights live in log space; a cloud
+whose weights all vanish is reset to uniform and counted rather than aborting
+the run.  Non-finite observations are rejected before the first step.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelSpec, log_kernel
 from .proposals import ProposalSpec, log_phat
+from .svm import AR1State, _normal_like, simulate
 
 __all__ = [
     "DegenerateCloudError",
@@ -43,12 +49,14 @@ __all__ = [
     "resolve_epsilon",
     "abc_apf_step",
     "abc_apf_run",
+    "abc_smc_step",
     "abc_smc_run",
     "kalman_run",
 ]
 
 _POLICIES = ("every_step", "ess_threshold")
 _SCHEMES = ("multinomial", "systematic")
+_TINY = np.finfo(float).tiny
 
 
 class DegenerateCloudError(RuntimeError):
@@ -74,12 +82,15 @@ class ParticleCloud:
 def normalize(log_weights) -> np.ndarray:
     """Normalize log weights so the plain weights sum to one.
 
-    Raises :class:`DegenerateCloudError` when every entry is log-zero.
+    Raises :class:`DegenerateCloudError` when every entry is log-zero and
+    :class:`FloatingPointError` when an entry is NaN or +inf.
     """
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw)
     if not np.isfinite(m):
-        raise DegenerateCloudError("all weights are log-zero")
+        if m == -math.inf:
+            raise DegenerateCloudError("all weights are log-zero")
+        raise FloatingPointError(f"log weights must be finite or -inf, max is {m}")
     return lw - (m + math.log(float(np.sum(np.exp(lw - m)))))
 
 
@@ -176,7 +187,12 @@ class StepDiagnostics:
 
 @dataclass
 class FilterOutput:
-    """Per-step filtered means and diagnostics for one filter run."""
+    """Per-step filtered means and diagnostics for one filter run.
+
+    ``resample_count`` counts the steps that resampled.  The APF resamples
+    before propagating at any step; ABC-SMC resamples the carried weights at
+    the start of steps 2..T, so an every-step SMC run reports T - 1.
+    """
 
     filtered_mean: np.ndarray
     ess_trace: np.ndarray
@@ -191,13 +207,15 @@ def _should_resample(config: FilterConfig, log_weights) -> bool:
     return ess(log_weights) < config.threshold
 
 
-def _recovered_normalize(raw: np.ndarray):
-    """Normalize, resetting a fully degenerate cloud to uniform weights."""
+def _reweighted(states, raw, t: int, resampled: bool, ancestors):
+    """Normalize a step's raw log weights into its output cloud and diagnostics,
+    resetting a fully degenerate cloud to uniform weights."""
     try:
-        return normalize(raw), False
+        lw, degenerate = normalize(raw), False
     except DegenerateCloudError:
-        n = len(raw)
-        return np.full(n, -math.log(n)), True
+        lw, degenerate = np.full(len(raw), -math.log(len(raw))), True
+    diag = StepDiagnostics(ess(lw), resampled, degenerate, ancestors)
+    return ParticleCloud(states, lw, t), diag
 
 
 def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rng):
@@ -248,39 +266,48 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     raw = carried + log_kernel(config.kernel, (y_sim - y) / obs_scale) - np.log(obs_scale)
     if not constant_tilt:
         raw = raw - parent_lp
-    lw, degenerate = _recovered_normalize(raw)
-    out = ParticleCloud(states=new_states, log_weights=lw, t=cloud.t + 1)
-    diag = StepDiagnostics(
-        ess=ess(lw), resampled=resampled, degenerate=degenerate, ancestors=ancestors
-    )
-    return out, diag
+    return _reweighted(new_states, raw, cloud.t + 1, resampled, ancestors)
 
 
-def _init_cloud(model, config: FilterConfig, rng) -> ParticleCloud:
-    n = config.n_particles
-    states = np.asarray(model.initial_sample(rng, size=n), dtype=float)
-    return ParticleCloud(states=states, log_weights=np.full(n, -math.log(n)), t=0)
+def abc_smc_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rng):
+    """One adaptive-tolerance ABC-SMC step; returns (new cloud, diagnostics).
+
+    Resamples the carried weights first (never the prior cloud, ``t == 0``),
+    then propagates, simulates one pseudo-observation per particle and keeps
+    those within the ``smc_percentile`` distance quantile, ties included.
+    Consumes the rng in that order: resampling, transition, observation.
+    """
+    resampled = cloud.t > 0 and _should_resample(config, cloud.log_weights)
+    if resampled:
+        cloud, ancestors = resample(cloud, config.resample_scheme, rng)
+    else:
+        ancestors = np.arange(len(cloud))
+    states = model.transition_sample(cloud.states, rng)
+    d = np.abs(model.observe_sample(states, rng) - y)
+    eps_t = max(resolve_epsilon(d, config.smc_percentile), _TINY)
+    raw = cloud.log_weights + log_kernel(KernelSpec("uniform", eps_t), d)
+    return _reweighted(states, raw, cloud.t + 1, resampled, ancestors)
 
 
-def _as_rng(rng):
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
-def abc_apf_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
-    """Run the ABC auxiliary particle filter over a full observation record."""
+def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
+    """Draw the prior cloud and apply ``step`` once per observation."""
     ys = np.asarray(ys, dtype=float)
     if len(ys) == 0:
         raise ValueError("observation record is empty")
-    rng = _as_rng(rng)
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("observation record holds a NaN or infinite value")
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     horizon = len(ys)
     filtered_mean = np.empty(horizon)
     ess_trace = np.empty(horizon)
     resample_count = 0
     degeneracy_count = 0
     start = time.perf_counter()
-    cloud = _init_cloud(model, config, rng)
+    n = config.n_particles
+    states = np.asarray(model.initial_sample(rng, size=n), dtype=float)
+    cloud = ParticleCloud(states=states, log_weights=np.full(n, -math.log(n)), t=0)
     for t in range(horizon):
-        cloud, diag = abc_apf_step(cloud, float(ys[t]), model, config, rng)
+        cloud, diag = step(cloud, float(ys[t]), model, config, rng)
         filtered_mean[t] = float(np.dot(cloud.weights, cloud.states))
         ess_trace[t] = diag.ess
         resample_count += diag.resampled
@@ -289,40 +316,16 @@ def abc_apf_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
     return FilterOutput(filtered_mean, ess_trace, resample_count, degeneracy_count, elapsed)
 
 
+def abc_apf_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
+    """Run the ABC auxiliary particle filter over a full observation record."""
+    return _run(abc_apf_step, ys, model, config, rng)
+
+
 def abc_smc_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
-    """Adaptive-tolerance ABC-SMC baseline (propagate, then keep the closest
-    ``smc_percentile`` of pseudo-observations, ties included)."""
+    """Run the adaptive-tolerance ABC-SMC baseline over a full record."""
     if config.kernel.kind != "uniform":
         raise ValueError("abc_smc_run uses a uniform kernel with per-step tolerance")
-    ys = np.asarray(ys, dtype=float)
-    if len(ys) == 0:
-        raise ValueError("observation record is empty")
-    rng = _as_rng(rng)
-    horizon = len(ys)
-    filtered_mean = np.empty(horizon)
-    ess_trace = np.empty(horizon)
-    resample_count = 0
-    degeneracy_count = 0
-    tiny = np.finfo(float).tiny
-    start = time.perf_counter()
-    cloud = _init_cloud(model, config, rng)
-    for t in range(horizon):
-        y = float(ys[t])
-        states = model.transition_sample(cloud.states, rng)
-        y_sim = model.observe_sample(states, rng)
-        d = np.abs(y_sim - y)
-        eps_t = max(resolve_epsilon(d, config.smc_percentile), tiny)
-        raw = cloud.log_weights + log_kernel(KernelSpec("uniform", eps_t), d)
-        lw, degenerate = _recovered_normalize(raw)
-        degeneracy_count += degenerate
-        cloud = ParticleCloud(states=states, log_weights=lw, t=cloud.t + 1)
-        filtered_mean[t] = float(np.dot(cloud.weights, cloud.states))
-        ess_trace[t] = ess(lw)
-        if _should_resample(config, lw):
-            cloud, _ = resample(cloud, config.resample_scheme, rng)
-            resample_count += 1
-    elapsed = time.perf_counter() - start
-    return FilterOutput(filtered_mean, ess_trace, resample_count, degeneracy_count, elapsed)
+    return _run(abc_smc_step, ys, model, config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,7 @@ def abc_smc_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
 
 
 @dataclass(frozen=True)
-class LinearGaussianParams:
+class LinearGaussianParams(AR1State):
     """AR(1) state with additive Gaussian observation noise.
 
     x_t = mu + phi x_{t-1} + sigma_h w_t,   y_t = x_t + sigma_y v_t.
@@ -340,47 +343,15 @@ class LinearGaussianParams:
     run on it unchanged and can be compared to the exact Kalman answer.
     """
 
-    mu: float
-    phi: float
-    sigma_h: float
     sigma_y: float
 
     def __post_init__(self) -> None:
-        if not self.sigma_h > 0.0:
-            raise ValueError(f"sigma_h must be > 0, got {self.sigma_h}")
+        super().__post_init__()
         if not self.sigma_y > 0.0:
             raise ValueError(f"sigma_y must be > 0, got {self.sigma_y}")
 
-    def _require_stationary(self) -> None:
-        if not abs(self.phi) < 1.0:
-            raise ValueError(f"|phi| must be < 1 for a stationary prior, got {self.phi}")
-
-    @property
-    def stationary_mean(self) -> float:
-        self._require_stationary()
-        return self.mu / (1.0 - self.phi)
-
-    @property
-    def stationary_var(self) -> float:
-        self._require_stationary()
-        return self.sigma_h**2 / (1.0 - self.phi**2)
-
-    def initial_sample(self, rng, size=None):
-        draw = rng.standard_normal() if size is None else rng.standard_normal(size)
-        return self.stationary_mean + math.sqrt(self.stationary_var) * draw
-
-    def transition_mean(self, h):
-        return self.mu + self.phi * h
-
-    def transition_sample(self, h, rng):
-        shape = np.shape(h)
-        noise = rng.standard_normal(shape) if shape else rng.standard_normal()
-        return self.transition_mean(h) + self.sigma_h * noise
-
     def observe_sample(self, h, rng):
-        shape = np.shape(h)
-        noise = rng.standard_normal(shape) if shape else rng.standard_normal()
-        return np.asarray(h, dtype=float) + self.sigma_y * noise
+        return np.asarray(h, dtype=float) + self.sigma_y * _normal_like(h, rng)
 
     def observation_scale(self, h):
         """Observation noise scale has no state dependence here: factor 1."""
@@ -388,17 +359,9 @@ class LinearGaussianParams:
         return float(out) if np.ndim(out) == 0 else out
 
     def simulate(self, horizon: int, seed):
-        """Simulate (x_{0:T}, y_{1:T}); mirrors ``svm.simulate``."""
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        rng = np.random.default_rng(seed)
-        x = np.empty(horizon + 1)
-        y = np.empty(horizon)
-        x[0] = self.initial_sample(rng)
-        for t in range(1, horizon + 1):
-            x[t] = self.transition_sample(x[t - 1], rng)
-            y[t - 1] = self.observe_sample(x[t], rng)
-        return x, y
+        """Simulate (x_{0:T}, y_{1:T}) with ``svm.simulate``."""
+        traj = simulate(self, horizon, seed)
+        return traj.h, traj.y
 
 
 def kalman_run(lg: LinearGaussianParams, ys, prior_mean=None, prior_var=None):

@@ -6,7 +6,8 @@ State (log-volatility) and observation equations:
     y_t = exp(h_t / 2) v_t,                    v_t ~ SD(alpha, beta, sigma_v, 0)
 
 with |phi| < 1 and h_0 drawn from the stationary law
-N(mu / (1 - phi), sigma_h^2 / (1 - phi^2)).
+N(mu / (1 - phi), sigma_h^2 / (1 - phi^2)).  The state equation lives in
+``AR1State``, which the linear-Gaussian benchmark model shares.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .stable import StableParams, sample as stable_sample
 
-__all__ = ["SvmParams", "Trajectory", "simulate"]
+__all__ = ["AR1State", "SvmParams", "Trajectory", "simulate"]
 
 
 def _normal_like(h, rng):
@@ -30,30 +31,33 @@ def _normal_like(h, rng):
 
 
 @dataclass(frozen=True)
-class SvmParams:
-    """Parameters of the stable-noise stochastic volatility model."""
+class AR1State:
+    """Gaussian AR(1) state h_t = mu + phi h_{t-1} + sigma_h w_t.
+
+    The stationary law is checked only where it is used, so a random walk
+    (phi = 1) is a valid state as long as it starts from an explicit prior.
+    """
 
     mu: float
     phi: float
     sigma_h: float
-    obs_noise: StableParams
 
     def __post_init__(self) -> None:
-        if not abs(self.phi) < 1.0:
-            raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
         if not self.sigma_h > 0.0:
             raise ValueError(f"sigma_h must be > 0, got {self.sigma_h}")
-        if not self.obs_noise.gamma > 0.0:
-            raise ValueError("obs_noise must have scale gamma > 0")
-        if self.obs_noise.delta != 0.0:
-            raise ValueError("obs_noise must be centered (delta = 0)")
+
+    def _require_stationary(self) -> None:
+        if not abs(self.phi) < 1.0:
+            raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
 
     @property
     def stationary_mean(self) -> float:
+        self._require_stationary()
         return self.mu / (1.0 - self.phi)
 
     @property
     def stationary_var(self) -> float:
+        self._require_stationary()
         return self.sigma_h**2 / (1.0 - self.phi**2)
 
     def initial_sample(self, rng, size=None):
@@ -69,16 +73,27 @@ class SvmParams:
         """Draw h_t | h_{t-1} = h."""
         return self.transition_mean(h) + self.sigma_h * _normal_like(h, rng)
 
-    def transition_logpdf(self, h_next, h_prev):
-        """log N(h_next; mu + phi h_prev, sigma_h^2)."""
-        z = (np.asarray(h_next, dtype=float) - self.transition_mean(h_prev)) / self.sigma_h
-        out = -0.5 * math.log(2.0 * np.pi) - math.log(self.sigma_h) - 0.5 * z * z
-        return float(out) if np.ndim(out) == 0 else out
+
+@dataclass(frozen=True)
+class SvmParams(AR1State):
+    """Parameters of the stable-noise stochastic volatility model."""
+
+    obs_noise: StableParams
+
+    def __post_init__(self) -> None:
+        self._require_stationary()
+        super().__post_init__()
+        if not self.obs_noise.gamma > 0.0:
+            raise ValueError("obs_noise must have scale gamma > 0")
+        if self.obs_noise.delta != 0.0:
+            raise ValueError("obs_noise must be centered (delta = 0)")
 
     def observe_sample(self, h, rng):
         """Draw y_t | h_t = h = exp(h/2) v with stable v."""
         size = np.shape(h) if np.ndim(h) else None
         v = stable_sample(self.obs_noise, rng, size)
+        # The scalar branch generates simulated data: numpy's exp differs from
+        # math.exp in the last bit on some inputs, so it would change datasets.
         return np.exp(np.asarray(h, dtype=float) / 2.0) * v if size else math.exp(h / 2.0) * v
 
     def observation_scale(self, h):
@@ -104,8 +119,12 @@ class Trajectory:
         return len(self.y)
 
 
-def simulate(params: SvmParams, horizon: int, seed) -> Trajectory:
-    """Simulate a trajectory of the given horizon, deterministically per seed."""
+def simulate(params, horizon: int, seed) -> Trajectory:
+    """Simulate a trajectory of the given horizon, deterministically per seed.
+
+    ``params`` is any state-space model with ``initial_sample``,
+    ``transition_sample`` and ``observe_sample``.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)

@@ -30,10 +30,6 @@ CMS_ALPHA_HALF_VALUE = 1.1829059416793375
 # Location correction of the alpha=1 output transform at gamma=e: (2/pi) e.
 TRANSFORM_ALPHA_ONE_E_SCALE = 1.7305119588645301
 
-# log N(-3; -4, 0.36) for the AR(1) transition with mu=-0.2, phi=0.95,
-# sigma_h=0.6 evaluated at h_prev=-4, h_next=-3.
-AR_TRANSITION_LOGPDF_EXAMPLE = -1.797001798327571
-
 # Student t with 2 degrees of freedom: log f(0) = log(1/(2 sqrt 2)) and
 # log f(1) = log((1/(2 sqrt 2)) 1.5^{-3/2}).
 LOG_T2_AT_ZERO = -1.039720770839918

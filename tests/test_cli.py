@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stablevol.cli as cli
+import stablevol.filters as filters_mod
 from stablevol.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stablevol.experiment import read_data_csv
 from stablevol.proposals import SeriesConvergenceError
@@ -201,6 +202,49 @@ def test_malformed_data_csv_is_config_error(tmp_path, config_path):
         ]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_observation_is_config_error(tmp_path, config_path, bad):
+    data = run_simulate(tmp_path, config_path, horizon=5)
+    lines = data.read_text().splitlines()
+    t, _, h = lines[3].split(",")
+    lines[3] = ",".join([t, bad, h])
+    data.write_text("\n".join(lines) + "\n")
+    assert not np.all(np.isfinite(read_data_csv(data).y))
+    code = main(
+        [
+            "filter",
+            "--algo", "abc-apf",
+            "--eps", "0.25",
+            "--particles", "64",
+            "--config", str(config_path),
+            "--data", str(data),
+            "--seed", "1",
+            "--out", str(tmp_path / "f.csv"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+
+
+def test_nan_weight_maps_to_exit_three(tmp_path, config_path, monkeypatch):
+    data = run_simulate(tmp_path, config_path, horizon=5)
+    monkeypatch.setattr(
+        filters_mod, "log_kernel", lambda spec, u: np.full(np.shape(u), np.nan)
+    )
+    code = main(
+        [
+            "filter",
+            "--algo", "abc-apf",
+            "--eps", "0.25",
+            "--particles", "64",
+            "--config", str(config_path),
+            "--data", str(data),
+            "--seed", "1",
+            "--out", str(tmp_path / "f.csv"),
+        ]
+    )
+    assert code == EXIT_NUMERICAL
 
 
 def test_numerical_failure_maps_to_exit_three(tmp_path, config_path, monkeypatch):

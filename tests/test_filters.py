@@ -19,6 +19,7 @@ from stablevol.filters import (
     abc_apf_run,
     abc_apf_step,
     abc_smc_run,
+    abc_smc_step,
     ess,
     kalman_run,
     normalize,
@@ -85,6 +86,11 @@ def test_normalize_shift_invariance():
 def test_normalize_rejects_all_log_zero():
     with pytest.raises(DegenerateCloudError):
         normalize([-math.inf, -math.inf])
+    # A NaN or +inf weight is a numerical fault, not a degenerate cloud: the
+    # reset must not swallow it.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FloatingPointError):
+            normalize([0.0, bad, -math.inf])
 
 
 def test_ess_pinned_cases():
@@ -396,6 +402,58 @@ def test_run_rejects_empty_observations():
             ),
             np.random.default_rng(0),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (abc_apf_run, FilterConfig(64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"))),
+        (abc_apf_run, FilterConfig(64, KernelSpec("gaussian", 0.25), ProposalSpec("shifted_t"))),
+        (abc_smc_run, FilterConfig(64, KernelSpec("uniform", None))),
+    ],
+    ids=["apf-central-t", "apf-shifted-t", "smc"],
+)
+def test_run_rejects_non_finite_observations(run, config, bad):
+    ys = np.array([0.1, bad, -0.2])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        run(ys, svm_model(), config, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("model", [svm_model(), LG], ids=["svm", "lg"])
+@pytest.mark.parametrize(
+    "step, run, config",
+    [
+        (abc_apf_step, abc_apf_run, gauss_config(n=200)),
+        (
+            abc_smc_step,
+            abc_smc_run,
+            FilterConfig(200, KernelSpec("uniform", None), smc_percentile=0.25),
+        ),
+    ],
+    ids=["apf", "smc"],
+)
+def test_run_equals_hand_driven_step(model, step, run, config):
+    # A run is the step applied once per observation to the seeded prior
+    # cloud; both paths must agree bit for bit.
+    ys = simulate(svm_model(), 25, 3205).y
+    out = run(ys, model, config, np.random.default_rng(3206))
+
+    rng = np.random.default_rng(3206)
+    n = config.n_particles
+    cloud = ParticleCloud(model.initial_sample(rng, size=n), np.full(n, -math.log(n)))
+    means, esses, resampled = [], [], 0
+    for y in ys:
+        cloud, diag = step(cloud, float(y), model, config, rng)
+        means.append(float(np.dot(cloud.weights, cloud.states)))
+        esses.append(diag.ess)
+        resampled += diag.resampled
+    assert np.array_equal(out.filtered_mean, means)
+    assert np.array_equal(out.ess_trace, esses)
+    assert out.resample_count == resampled
+    if step is abc_smc_step:
+        # SMC resamples at the start of steps 2..T, never the prior cloud.
+        assert out.resample_count == len(ys) - 1
 
 
 def test_high_signal_to_noise_tracks_log_squared_observations():

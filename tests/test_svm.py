@@ -12,7 +12,6 @@ from stablevol.stable import StableParams
 from stablevol.svm import SvmParams, Trajectory, simulate
 
 from _oracles import (
-    AR_TRANSITION_LOGPDF_EXAMPLE,
     cached_cdf_interpolant,
     ks_critical,
     ks_vs_stable_cdf,
@@ -121,20 +120,6 @@ def test_state_path_lag_one_autocorrelation():
     centered = h - np.mean(h)
     rho = float(np.dot(centered[1:], centered[:-1]) / np.dot(centered, centered))
     assert rho == pytest.approx(0.95, abs=0.03)
-
-
-def test_transition_logpdf_peak_and_curvature():
-    params = make_params(sigma_h=1.0)
-    peak = params.transition_logpdf(params.transition_mean(0.3), 0.3)
-    assert peak == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-12)
-    one_sigma = params.transition_logpdf(params.transition_mean(0.3) + 1.0, 0.3)
-    assert one_sigma == pytest.approx(peak - 0.5, abs=1e-12)
-
-
-def test_transition_logpdf_frozen_value():
-    assert make_params().transition_logpdf(-3.0, -4.0) == pytest.approx(
-        AR_TRANSITION_LOGPDF_EXAMPLE, abs=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
