@@ -1,7 +1,7 @@
 """Command-line front end: simulate data, filter it, or run a full study.
 
 Exit codes: 0 on success, 2 on configuration/validation errors (including
-non-finite observations), 3 on numerical failures.
+non-finite observations or model parameters), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .experiment import (
     write_filtered_csv,
     write_summary_csv,
 )
-from .filters import DegenerateCloudError, FilterConfig, abc_apf_run, abc_smc_run
+from .filters import DegenerateCloudError, FilterConfig
 from .kernels import KernelSpec
 from .proposals import ProposalSpec, SeriesConvergenceError
 from .stable import QuadratureError
@@ -127,10 +127,7 @@ def _cmd_filter(args) -> int:
     config = _filter_config(args)
     traj = read_data_csv(args.data)
     rng = np.random.default_rng(args.seed)
-    if args.algo == "abc-apf":
-        output = abc_apf_run(traj.y, model, config, rng)
-    else:
-        output = abc_smc_run(traj.y, model, config, rng)
+    output = GridCell(args.algo, config).run(traj.y, model, rng)
     write_filtered_csv(args.out, output)
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -323,9 +324,14 @@ def load_model_config(path) -> SvmParams:
         raise ValueError(f"config has unknown keys: {extra}")
     values = {}
     for key in _CONFIG_KEYS:
-        if isinstance(raw[key], bool) or not isinstance(raw[key], (int, float)):
-            raise ValueError(f"config key {key!r} must be a number, got {raw[key]!r}")
-        values[key] = float(raw[key])
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+        # json accepts NaN and Infinity; an exact int comparison also rejects
+        # integers too large for a float without overflowing.
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+        values[key] = float(value)
     return SvmParams(
         mu=values["mu"],
         phi=values["phi"],

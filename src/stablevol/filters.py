@@ -34,7 +34,7 @@ import numpy as np
 
 from .kernels import KernelSpec, log_kernel
 from .proposals import ProposalSpec, log_phat
-from .svm import AR1State, _normal_like, simulate
+from .svm import AR1State, simulate
 
 __all__ = [
     "DegenerateCloudError",
@@ -262,7 +262,7 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     # scaled kernel; the change-of-scale factor keeps particles at different
     # volatility levels comparable and makes the weight approach the true
     # observation likelihood as epsilon shrinks.
-    obs_scale = np.asarray(model.observation_scale(new_states), dtype=float)
+    obs_scale = model.observation_scale(new_states)
     raw = carried + log_kernel(config.kernel, (y_sim - y) / obs_scale) - np.log(obs_scale)
     if not constant_tilt:
         raw = raw - parent_lp
@@ -351,12 +351,11 @@ class LinearGaussianParams(AR1State):
             raise ValueError(f"sigma_y must be > 0, got {self.sigma_y}")
 
     def observe_sample(self, h, rng):
-        return np.asarray(h, dtype=float) + self.sigma_y * _normal_like(h, rng)
+        return np.asarray(h, dtype=float) + self.sigma_y * rng.standard_normal(np.shape(h))
 
     def observation_scale(self, h):
         """Observation noise scale has no state dependence here: factor 1."""
-        out = np.ones_like(np.asarray(h, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
+        return np.ones(np.shape(h))
 
     def simulate(self, horizon: int, seed):
         """Simulate (x_{0:T}, y_{1:T}) with ``svm.simulate``."""

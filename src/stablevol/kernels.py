@@ -40,7 +40,8 @@ def log_kernel(spec: KernelSpec, u):
     """log K_eps(u) for a scalar or array discrepancy u.
 
     gaussian: log N(u; 0, eps^2).  uniform: log(1/(2 eps)) on |u| <= eps,
-    -inf outside.
+    -inf outside.  Returns what numpy returns: an array shaped like u, and a
+    numpy scalar or 0-d array for scalar u.
     """
     if spec.epsilon is None:
         raise ValueError("kernel bandwidth is unresolved (epsilon is None)")
@@ -48,7 +49,5 @@ def log_kernel(spec: KernelSpec, u):
     u_arr = np.asarray(u, dtype=float)
     if spec.kind == "gaussian":
         z = u_arr / eps
-        out = -0.5 * math.log(2.0 * np.pi) - math.log(eps) - 0.5 * z * z
-    else:
-        out = np.where(np.abs(u_arr) <= eps, -math.log(2.0 * eps), -np.inf)
-    return float(out) if np.ndim(u) == 0 else out
+        return -0.5 * math.log(2.0 * np.pi) - math.log(eps) - 0.5 * z * z
+    return np.where(np.abs(u_arr) <= eps, -math.log(2.0 * eps), -np.inf)

@@ -33,6 +33,8 @@ _MAX_TERMS = 1200
 _REL_TRUNC = 1e-12
 # Past this series argument the accumulators overflow float64; quadrature wins.
 _Z_OVERFLOW = 600.0
+# Past this argument math.gamma overflows float64 (at ~171.62); quadrature wins.
+_GAMMA_OVERFLOW = 171.0
 # Relative size of the even/odd cancellation below which the series has lost
 # too many digits and the quadrature fallback is used instead.
 _CANCEL_FLOOR = 1e-8
@@ -100,11 +102,10 @@ def _nct_logpdf_scalar(x: float, dof: float, nc: float) -> float:
     s = math.hypot(x, math.sqrt(dof))  # sqrt(dof + x^2), overflow-safe
     q = math.sqrt(2.0) * nc * (x / s)
     z = 0.25 * q * q
-    if z > _Z_OVERFLOW:
-        return _nct_logpdf_quad(x, dof, nc)
-
     a1 = (dof + 1.0) / 2.0
     a2 = (dof + 2.0) / 2.0
+    if z > _Z_OVERFLOW or a2 > _GAMMA_OVERFLOW:
+        return _nct_logpdf_quad(x, dof, nc)
     even = math.gamma(a1)
     odd = math.gamma(a2) * q
     even_sum = even
@@ -147,10 +148,7 @@ def _nct_logpdf(x, dof: float, nc):
     x_arr, nc_arr = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(nc, dtype=float)
     )
-    shape = x_arr.shape
-    if shape == ():
-        return _nct_logpdf_scalar(float(x_arr), dof, float(nc_arr))
-    out = np.empty(shape)
+    out = np.empty(x_arr.shape)
     flat_x = x_arr.ravel()
     flat_nc = nc_arr.ravel()
     flat_out = out.ravel()
@@ -164,12 +162,12 @@ def log_phat(spec: ProposalSpec, y, xi):
 
     ``y`` is the recorded observation, ``xi`` the per-particle state summary
     (the transition mean); ``xi`` may be an array, in which case the result
-    broadcasts against it.
+    broadcasts against it.  Returns what numpy returns: a numpy scalar or 0-d
+    array when both arguments are scalars.
     """
+    xi = np.asarray(xi, dtype=float)
     if spec.kind == "central_t":
-        out = _t_logpdf(y, spec.dof) + 0.0 * np.asarray(xi, dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
+        return _t_logpdf(y, spec.dof) + 0.0 * xi
     if spec.kind == "shifted_t":
-        out = _t_logpdf(np.asarray(y, dtype=float) - np.asarray(xi, dtype=float), spec.dof)
-        return float(out) if np.ndim(out) == 0 else out
+        return _t_logpdf(y - xi, spec.dof)
     return _nct_logpdf(y, spec.dof, xi)

@@ -95,12 +95,12 @@ def _log_char_fn(params: StableParams, t: np.ndarray) -> np.ndarray:
 
 
 def char_fn(params: StableParams, t):
-    """Characteristic function psi(t); scalar in, scalar out."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.exp(_log_char_fn(params, t_arr))
-    if np.ndim(t) == 0:
-        return complex(out)
-    return out
+    """Characteristic function psi(t), shaped like t.
+
+    Returns what numpy returns: a complex array, and a numpy complex scalar or
+    0-d array for scalar t.
+    """
+    return np.exp(_log_char_fn(params, np.asarray(t, dtype=float)))
 
 
 def _cms(alpha: float, beta: float, u, w):
@@ -124,36 +124,30 @@ def sample_standard(alpha: float, beta: float, rng, size=None):
     """Draw variates from SD(alpha, beta, 1, 0) by the CMS method.
 
     ``rng`` must provide ``uniform`` and ``standard_exponential``
-    (``numpy.random.Generator`` does).  Returns a float for ``size=None``,
-    otherwise an array of the requested shape.
+    (``numpy.random.Generator`` does).  Returns an array of the requested
+    shape, and a numpy scalar or 0-d array for ``size=None`` or ``size=()``.
     """
     StableParams(alpha, beta, 1.0, 0.0)  # validate the parameter ranges
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)
-    x = _cms(alpha, beta, u, w)
-    if size is None:
-        return float(x)
-    return x
+    return _cms(alpha, beta, u, w)
 
 
 def transform(x, params: StableParams):
     """Map a standard SD(alpha, beta, 1, 0) variate to SD(alpha, beta, gamma, delta)."""
     g, d = params.gamma, params.delta
+    x = np.asarray(x, dtype=float)
     if params.is_alpha_one:
         if g == 0.0:
-            return d + 0.0 * np.asarray(x, dtype=float)
+            return d + 0.0 * x
         shift = d + params.beta * (2.0 / np.pi) * g * math.log(g)
-        return g * np.asarray(x, dtype=float) + shift
-    return g * np.asarray(x, dtype=float) + d
+        return g * x + shift
+    return g * x + d
 
 
 def sample(params: StableParams, rng, size=None):
-    """Draw variates from SD(alpha, beta, gamma, delta)."""
-    x = sample_standard(params.alpha, params.beta, rng, size)
-    y = transform(x, params)
-    if size is None:
-        return float(y)
-    return y
+    """Draw variates from SD(alpha, beta, gamma, delta), shaped as in ``sample_standard``."""
+    return transform(sample_standard(params.alpha, params.beta, rng, size), params)
 
 
 # ---------------------------------------------------------------------------

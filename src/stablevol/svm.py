@@ -22,14 +22,6 @@ from .stable import StableParams, sample as stable_sample
 __all__ = ["AR1State", "SvmParams", "Trajectory", "simulate"]
 
 
-def _normal_like(h, rng):
-    """Standard normal draws shaped like h (float for scalar input)."""
-    shape = np.shape(h)
-    if shape == ():
-        return rng.standard_normal()
-    return rng.standard_normal(shape)
-
-
 @dataclass(frozen=True)
 class AR1State:
     """Gaussian AR(1) state h_t = mu + phi h_{t-1} + sigma_h w_t.
@@ -62,8 +54,7 @@ class AR1State:
 
     def initial_sample(self, rng, size=None):
         """Draw h_0 from the stationary law of the AR(1) state."""
-        draw = rng.standard_normal() if size is None else rng.standard_normal(size)
-        return self.stationary_mean + math.sqrt(self.stationary_var) * draw
+        return self.stationary_mean + math.sqrt(self.stationary_var) * rng.standard_normal(size)
 
     def transition_mean(self, h):
         """E[h_t | h_{t-1} = h] = mu + phi h."""
@@ -71,7 +62,7 @@ class AR1State:
 
     def transition_sample(self, h, rng):
         """Draw h_t | h_{t-1} = h."""
-        return self.transition_mean(h) + self.sigma_h * _normal_like(h, rng)
+        return self.transition_mean(h) + self.sigma_h * rng.standard_normal(np.shape(h))
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ class SvmParams(AR1State):
 
     def observe_sample(self, h, rng):
         """Draw y_t | h_t = h = exp(h/2) v with stable v."""
-        size = np.shape(h) if np.ndim(h) else None
+        size = np.shape(h)
         v = stable_sample(self.obs_noise, rng, size)
         # The scalar branch generates simulated data: numpy's exp differs from
         # math.exp in the last bit on some inputs, so it would change datasets.
@@ -102,8 +93,7 @@ class SvmParams(AR1State):
         Constant scale (the stable gamma) lives inside ``obs_noise`` itself;
         this returns only the part that varies with the latent state.
         """
-        out = np.exp(np.asarray(h, dtype=float) / 2.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.exp(np.asarray(h, dtype=float) / 2.0)
 
 
 @dataclass

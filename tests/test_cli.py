@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-import stablevol.cli as cli
+import stablevol.experiment as experiment_mod
 import stablevol.filters as filters_mod
 from stablevol.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stablevol.experiment import read_data_csv
@@ -142,6 +142,25 @@ def test_invalid_config_json_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_non_finite_config_value_is_config_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"mu": NaN, "phi": 0.95, "sigma_h": 0.6, "alpha": 1.75, "beta": 0.1, "sigma_v": 0.8}'
+    )
+    out = tmp_path / "d.csv"
+    code = main(
+        [
+            "simulate",
+            "--config", str(bad),
+            "--horizon", "5",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_apf_without_bandwidth_is_config_error(tmp_path, config_path):
     data = run_simulate(tmp_path, config_path, horizon=5)
     code = main(
@@ -253,7 +272,7 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, config_path, monkeypatch
     def boom(*args, **kwargs):
         raise SeriesConvergenceError("no convergence")
 
-    monkeypatch.setattr(cli, "abc_apf_run", boom)
+    monkeypatch.setattr(experiment_mod, "abc_apf_run", boom)
     code = main(
         [
             "filter",

@@ -277,6 +277,12 @@ def test_load_model_config_rejects_bad_inputs(tmp_path):
         load_model_config(write_config(tmp_path, phi=1.5))
     with pytest.raises(ValueError):
         load_model_config(write_config(tmp_path, mu="zero"))
+    for key in ("mu", "sigma_h", "sigma_v"):
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            # json.dumps writes NaN / Infinity / -Infinity, which json.load accepts;
+            # 10**400 is a valid JSON integer that no float can hold.
+            with pytest.raises(ValueError, match="finite"):
+                load_model_config(write_config(tmp_path, **{key: value}))
 
 
 # ---------------------------------------------------------------------------

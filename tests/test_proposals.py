@@ -118,6 +118,14 @@ def test_noncentral_cross_checked_against_scipy():
         assert np.max(np.abs(mine - ref)) < 5e-6, f"nc={nc}"
 
 
+@pytest.mark.parametrize("dof", [400.0, 1e5])
+@pytest.mark.parametrize("y, nc", [(1.0, 0.5), (-3.0, 2.0), (2.5, -1.0)])
+def test_noncentral_large_dof_falls_back_to_quadrature(dof, y, nc):
+    # math.gamma((dof + 2) / 2) overflows past dof ~ 341; the series is skipped.
+    mine = log_phat(ProposalSpec("noncentral_t", dof=dof), y, nc)
+    assert abs(mine - stats.nct.logpdf(y, dof, nc)) < 5e-6
+
+
 def test_noncentral_broadcasts_observation_against_states():
     xi = np.array([-4.0, -1.0, 0.0, 2.0])
     vals = log_phat(ProposalSpec("noncentral_t"), 0.3, xi)
