@@ -134,8 +134,6 @@ def _cmd_filter(args) -> int:
 
 def _cmd_experiment(args) -> int:
     model = load_model_config(args.config)
-    if args.replicates < 1:
-        raise ValueError(f"--replicates must be >= 1, got {args.replicates}")
     spec = StudySpec(
         model=model,
         horizon=args.horizon,

@@ -165,9 +165,6 @@ class StudySpec:
         object.__setattr__(self, "cells", tuple(self.cells))
 
 
-_AGGREGATES = ("mean", "median", "min", "max")
-
-
 @dataclass
 class StudyResult:
     """Per-cell, per-replicate metrics plus aggregate views."""
@@ -358,6 +355,9 @@ def read_data_csv(path) -> Trajectory:
         if header != ["t", "y", "h_true"]:
             raise ValueError(f"unexpected data header: {header}")
         rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError(f"data row must have 3 fields (t,y,h_true), got {row}")
     if not rows or rows[0][0] != "0":
         raise ValueError("data must start with the t=0 initial-state row")
     h = np.array([float(row[2]) for row in rows])
@@ -391,9 +391,7 @@ def write_summary_csv(path, result: StudyResult) -> None:
             fixed = _cell_fixed_columns(cell)
             for r, m in enumerate(result.metrics[c]):
                 writer.writerow(fixed + [r, m.rmse, m.ae, m.elapsed, m.degeneracy_count])
-            aggregates = result.aggregate(c)
-            for name in _AGGREGATES:
-                m = aggregates[name]
+            for name, m in result.aggregate(c).items():
                 writer.writerow(fixed + [name, m.rmse, m.ae, m.elapsed, m.degeneracy_count])
 
 

@@ -3,17 +3,19 @@
 Both filters share one loop, ``_run``: it draws the prior cloud from the
 model's stationary law, applies a step function once per observation and
 records the weighted mean, the ESS and the resample/degeneracy counters.
-The filters differ only in their step:
+Both steps pick ancestors with ``_select``: it applies the resampling policy
+to a selection law and either resamples once or keeps the identity ancestry.
+The filters differ in that law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
   filter: the previous cloud is tilted by a cheap proposal density
   p_hat(y_t | xi) evaluated at the per-particle transition mean xi,
-  resampled, propagated through the state transition, and reweighted by an
-  ABC kernel applied to the gap between one simulated pseudo-observation per
-  particle and the recorded observation, divided by the parent's tilt
-  (standard auxiliary correction).
+  selected on these first-stage weights, propagated through the state
+  transition, and reweighted by an ABC kernel applied to the gap between one
+  simulated pseudo-observation per particle and the recorded observation,
+  divided by the parent's tilt (standard auxiliary correction).
 * ``abc_smc_step`` (run by ``abc_smc_run``) is the adaptive-tolerance ABC-SMC
-  baseline: resample the carried weights, propagate, then keep the particles
+  baseline: select on the carried weights, propagate, then keep the particles
   whose pseudo-observations land within the step's distance percentile.
 
 Models are duck-typed: anything with ``initial_sample(rng, size)``,
@@ -122,7 +124,7 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     cdf[-1] = 1.0
     ancestors = np.searchsorted(cdf, u, side="right")
     out = ParticleCloud(
-        states=cloud.states[ancestors].copy(),
+        states=cloud.states[ancestors],
         log_weights=np.full(n, -math.log(n)),
         t=cloud.t,
     )
@@ -139,7 +141,13 @@ def resolve_epsilon(distances: np.ndarray, percentile: float) -> float:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Knobs shared by the filter runners."""
+    """Settings of the filter runners.
+
+    Both runners read ``n_particles`` and the ``resample_*`` fields.  The
+    ABC-APF also reads ``proposal`` and ``kernel`` (kind and ``epsilon``) and
+    ignores ``smc_percentile``; ABC-SMC reads ``smc_percentile``, requires a
+    uniform ``kernel`` and ignores ``proposal`` and ``kernel.epsilon``.
+    """
 
     n_particles: int
     kernel: KernelSpec
@@ -201,10 +209,17 @@ class FilterOutput:
     elapsed: float
 
 
-def _should_resample(config: FilterConfig, log_weights) -> bool:
-    if config.resample_policy == "every_step":
-        return True
-    return ess(log_weights) < config.threshold
+def _select(cloud: ParticleCloud, log_weights, config: FilterConfig, rng):
+    """Choose a step's ancestors; returns (cloud to propagate, ancestors, resampled).
+
+    The selection law is ``log_weights`` over ``cloud.states``.  Under the
+    resampling policy the cloud is either resampled once (uniform weights
+    after) or carried with these weights and the identity ancestry.
+    """
+    selected = ParticleCloud(cloud.states, log_weights, cloud.t)
+    if config.resample_policy == "every_step" or ess(log_weights) < config.threshold:
+        return (*resample(selected, config.resample_scheme, rng), True)
+    return selected, np.arange(len(cloud)), False
 
 
 def _reweighted(states, raw, t: int, resampled: bool, ancestors):
@@ -225,34 +240,15 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     ``config.n_particles``).  Consumes the rng in a fixed order: first-stage
     resampling draws, then transition noise, then pseudo-observation noise.
     """
-    n = len(cloud)
-    constant_tilt = config.proposal.is_state_independent
-    if constant_tilt:
+    if config.proposal.is_state_independent:
         # A state-independent tilt cancels from both stages; skipping it keeps
         # the first-stage selection probabilities exactly the carried weights.
-        lp = None
-        first = cloud.log_weights
+        lp, first = None, cloud.log_weights
     else:
-        xi = model.transition_mean(cloud.states)
-        lp = log_phat(config.proposal, y, xi)
+        lp = log_phat(config.proposal, y, model.transition_mean(cloud.states))
         first = normalize(cloud.log_weights + lp)
-
-    if _should_resample(config, first):
-        selected, ancestors = resample(
-            ParticleCloud(cloud.states, first, cloud.t), config.resample_scheme, rng
-        )
-        carried = selected.log_weights
-        base_states = selected.states
-        parent_lp = None if constant_tilt else lp[ancestors]
-        resampled = True
-    else:
-        carried = first
-        base_states = cloud.states
-        parent_lp = lp
-        ancestors = np.arange(n)
-        resampled = False
-
-    new_states = model.transition_sample(base_states, rng)
+    selected, ancestors, resampled = _select(cloud, first, config, rng)
+    new_states = model.transition_sample(selected.states, rng)
     y_sim = model.observe_sample(new_states, rng)
     # The kernel bandwidth is resolved per particle: the configured epsilon is
     # multiplied by the state-dependent observation-noise scale, so the
@@ -263,9 +259,12 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     # volatility levels comparable and makes the weight approach the true
     # observation likelihood as epsilon shrinks.
     obs_scale = model.observation_scale(new_states)
-    raw = carried + log_kernel(config.kernel, (y_sim - y) / obs_scale) - np.log(obs_scale)
-    if not constant_tilt:
-        raw = raw - parent_lp
+    # The ancestors are the identity when nothing was resampled, so
+    # lp[ancestors] is the parent's tilt on both paths.
+    kernel = log_kernel(config.kernel, (y_sim - y) / obs_scale)
+    raw = selected.log_weights + kernel - np.log(obs_scale)
+    if lp is not None:
+        raw = raw - lp[ancestors]
     return _reweighted(new_states, raw, cloud.t + 1, resampled, ancestors)
 
 
@@ -277,11 +276,10 @@ def abc_smc_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     those within the ``smc_percentile`` distance quantile, ties included.
     Consumes the rng in that order: resampling, transition, observation.
     """
-    resampled = cloud.t > 0 and _should_resample(config, cloud.log_weights)
-    if resampled:
-        cloud, ancestors = resample(cloud, config.resample_scheme, rng)
+    if cloud.t > 0:
+        cloud, ancestors, resampled = _select(cloud, cloud.log_weights, config, rng)
     else:
-        ancestors = np.arange(len(cloud))
+        ancestors, resampled = np.arange(len(cloud)), False
     states = model.transition_sample(cloud.states, rng)
     d = np.abs(model.observe_sample(states, rng) - y)
     eps_t = max(resolve_epsilon(d, config.smc_percentile), _TINY)

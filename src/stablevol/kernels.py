@@ -20,7 +20,7 @@ _KINDS = ("gaussian", "uniform")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth.
+    """Kernel family plus bandwidth (finite and > 0).
 
     ``epsilon`` may be None for kernels whose bandwidth is resolved per step
     (the adaptive ABC-SMC baseline); it must be resolved before evaluation.
@@ -32,8 +32,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0 once resolved, got {self.epsilon}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def log_kernel(spec: KernelSpec, u):

@@ -223,6 +223,46 @@ def test_malformed_data_csv_is_config_error(tmp_path, config_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("row", ["1,0.5", "1,0.5,0.1,9"], ids=["short", "long"])
+def test_malformed_data_row_is_config_error(tmp_path, config_path, row):
+    data = run_simulate(tmp_path, config_path, horizon=5)
+    data.write_text(data.read_text() + row + "\n")
+    out = tmp_path / "f.csv"
+    code = main(
+        [
+            "filter",
+            "--algo", "abc-apf",
+            "--eps", "0.25",
+            "--particles", "64",
+            "--config", str(config_path),
+            "--data", str(data),
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_infinite_bandwidth_is_config_error(tmp_path, config_path):
+    data = run_simulate(tmp_path, config_path, horizon=5)
+    out = tmp_path / "f.csv"
+    code = main(
+        [
+            "filter",
+            "--algo", "abc-apf",
+            "--eps", "inf",
+            "--particles", "64",
+            "--config", str(config_path),
+            "--data", str(data),
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_observation_is_config_error(tmp_path, config_path, bad):
     data = run_simulate(tmp_path, config_path, horizon=5)

@@ -311,6 +311,10 @@ def test_read_data_csv_rejects_malformed(tmp_path):
     path.write_text("t,y,h_true\n1,0.5,0.1\n")
     with pytest.raises(ValueError):
         read_data_csv(path)
+    for row in ("1,0.5", "1,0.5,0.1,9"):
+        path.write_text(f"t,y,h_true\n0,,0.1\n{row}\n")
+        with pytest.raises(ValueError, match="3 fields"):
+            read_data_csv(path)
 
 
 def test_filtered_csv_layout(tmp_path):

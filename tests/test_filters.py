@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablevol.filters as filters_mod
+from stablevol.cli import _NUMERICAL_ERRORS
 from stablevol.filters import (
     DegenerateCloudError,
     FilterConfig,
@@ -27,7 +28,7 @@ from stablevol.filters import (
     resolve_epsilon,
 )
 from stablevol.kernels import KernelSpec, log_kernel
-from stablevol.proposals import ProposalSpec
+from stablevol.proposals import ProposalSpec, log_phat
 from stablevol.stable import StableParams
 from stablevol.svm import SvmParams, simulate
 
@@ -299,6 +300,42 @@ def test_constant_tilt_step_equals_bootstrap_reference():
     assert np.array_equal(stepped.log_weights, normalize(raw))
 
 
+@pytest.mark.parametrize("policy", ["every_step", "ess_threshold"])
+def test_tilted_step_equals_auxiliary_reference(policy):
+    # A shifted-t step rebuilt by hand: select on the first-stage weights
+    # w * p_hat, propagate, weigh by the scaled kernel and divide by the
+    # parent's tilt.  An ESS threshold of 1 never resamples, so there the
+    # parent of particle i is particle i itself.
+    model = svm_model()
+    kernel = KernelSpec("gaussian", 0.5)
+    proposal = ProposalSpec("shifted_t")
+    n, y = 512, 0.3
+    init = np.random.default_rng(6)
+    states = np.asarray(model.initial_sample(init, size=n))
+    lw = normalize(init.normal(size=n))
+    threshold = 1.0 if policy == "ess_threshold" else None
+    cfg = FilterConfig(n, kernel, proposal, resample_policy=policy, resample_threshold=threshold)
+    cloud = ParticleCloud(states.copy(), lw.copy())
+    stepped, diag = abc_apf_step(cloud, y, model, cfg, np.random.default_rng(3107))
+
+    rng = np.random.default_rng(3107)
+    lp = log_phat(proposal, y, model.transition_mean(states))
+    first = normalize(lw + lp)
+    if policy == "every_step":
+        sel, ancestors = resample(ParticleCloud(states, first), "multinomial", rng)
+        base, carried, parent_lp = sel.states, sel.log_weights, lp[ancestors]
+    else:
+        base, carried, parent_lp, ancestors = states, first, lp, np.arange(n)
+    new_states = model.transition_sample(base, rng)
+    y_sim = model.observe_sample(new_states, rng)
+    scale = model.observation_scale(new_states)
+    raw = carried + log_kernel(kernel, (y_sim - y) / scale) - np.log(scale) - parent_lp
+    assert diag.resampled == (policy == "every_step")
+    assert np.array_equal(diag.ancestors, ancestors)
+    assert np.array_equal(stepped.states, new_states)
+    assert np.array_equal(stepped.log_weights, normalize(raw))
+
+
 def test_filter_invariant_to_proposal_scaling(monkeypatch):
     # Multiplying every p_hat value by a constant must not change which
     # particles are selected or propagated: the integer ancestry path is
@@ -454,6 +491,56 @@ def test_run_equals_hand_driven_step(model, step, run, config):
     if step is abc_smc_step:
         # SMC resamples at the start of steps 2..T, never the prior cloud.
         assert out.resample_count == len(ys) - 1
+
+
+@st.composite
+def _filter_cases(draw):
+    """A random valid (model, run, config) triple over both filters."""
+    model = SvmParams(
+        draw(st.floats(-2.0, 2.0)),
+        draw(st.floats(-0.99, 0.99)),
+        draw(st.floats(0.05, 2.0)),
+        StableParams(
+            draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 2.0))
+        ),
+    )
+    n = draw(st.integers(2, 64))
+    policy = draw(st.sampled_from(["every_step", "ess_threshold"]))
+    threshold = None
+    if policy == "ess_threshold":
+        threshold = draw(st.none() | st.floats(1.0, float(n)))
+    common = dict(
+        n_particles=n,
+        resample_policy=policy,
+        resample_threshold=threshold,
+        resample_scheme=draw(st.sampled_from(["multinomial", "systematic"])),
+    )
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-300.0, 3.0))
+        kernel = KernelSpec(draw(st.sampled_from(["gaussian", "uniform"])), eps)
+        kind = draw(st.sampled_from(["central_t", "shifted_t", "noncentral_t"]))
+        return model, abc_apf_run, FilterConfig(kernel=kernel, proposal=ProposalSpec(kind), **common)
+    percentile = draw(st.floats(0.0, 1.0, exclude_min=True))
+    config = FilterConfig(kernel=KernelSpec("uniform", None), smc_percentile=percentile, **common)
+    return model, abc_smc_run, config
+
+
+@settings(max_examples=200)
+@given(case=_filter_cases(), horizon=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_filters_return_finite_output_or_documented_error(case, horizon, seed):
+    # Any valid model, config and short record either filters to finite means
+    # with 1 <= ESS <= N or raises one of the errors the CLI maps to exit 3.
+    model, run, config = case
+    ys = simulate(model, horizon, seed).y
+    n = config.n_particles
+    try:
+        with np.errstate(all="ignore"):
+            out = run(ys, model, config, np.random.default_rng(seed))
+    except _NUMERICAL_ERRORS:
+        return
+    assert np.all(np.isfinite(out.filtered_mean))
+    assert np.all(out.ess_trace >= 1.0 - 1e-9)
+    assert np.all(out.ess_trace <= n * (1.0 + 1e-9))
 
 
 def test_high_signal_to_noise_tracks_log_squared_observations():

@@ -92,6 +92,9 @@ def test_rejects_bad_kind_and_bandwidth():
         KernelSpec("gaussian", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", -0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("gaussian", bad)
 
 
 def test_unresolved_bandwidth_rejected_at_evaluation():
