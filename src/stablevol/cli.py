@@ -1,7 +1,8 @@
 """Command-line front end: simulate data, filter it, or run a full study.
 
 Exit codes: 0 on success, 2 on configuration/validation errors (including
-non-finite observations or model parameters), 3 on numerical failures.
+non-finite observations or model parameters), 3 on numerical failures
+(including a filter run whose every step was a degenerate reset).
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ def _cmd_filter(args) -> int:
     traj = read_data_csv(args.data)
     rng = np.random.default_rng(args.seed)
     output = GridCell(args.algo, config).run(traj.y, model, rng)
+    if output.degeneracy_count == len(traj.y):
+        # Every step was reset to uniform weights: the estimate carries no
+        # information from the data.
+        raise DegenerateCloudError("every step's weights were all log-zero")
     write_filtered_csv(args.out, output)
     return EXIT_OK
 

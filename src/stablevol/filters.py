@@ -109,6 +109,9 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     ``multinomial`` draws ancestors i.i.d. from the weights; ``systematic``
     uses a single uniform offset on a stratified grid.  Both give every
     particle expected copy count N w_i.  Rejects unnormalized input.
+    Multinomial uniforms are searched in sorted order and each result is
+    put back in its uniform's slot, so the ancestors are the same array, in
+    the same order, as a plain search of the unsorted uniforms.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -116,13 +119,19 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     if abs(float(np.sum(w)) - 1.0) > 1e-9:
         raise ValueError("resample requires normalized weights")
     n = len(w)
-    if scheme == "multinomial":
-        u = rng.random(n)
-    else:
-        u = (rng.random() + np.arange(n)) / n
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
-    ancestors = np.searchsorted(cdf, u, side="right")
+    if scheme == "multinomial":
+        # Sorted keys are searched far faster than scattered ones.  Equal
+        # uniforms give equal results, so the order argsort picks among
+        # ties does not matter.
+        u = rng.random(n)
+        order = np.argsort(u)
+        ancestors = np.empty(n, dtype=np.intp)
+        ancestors[order] = np.searchsorted(cdf, u[order], side="right")
+    else:
+        u = (rng.random() + np.arange(n)) / n
+        ancestors = np.searchsorted(cdf, u, side="right")
     out = ParticleCloud(
         states=cloud.states[ancestors],
         log_weights=np.full(n, -math.log(n)),

@@ -327,6 +327,28 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, config_path, monkeypatch
     assert code == EXIT_NUMERICAL
 
 
+def test_all_steps_degenerate_is_numerical_failure(tmp_path, config_path):
+    # At eps=1e-300 the Gaussian kernel's squared gap overflows, every weight
+    # is log-zero, every step is a degenerate reset and no estimate is written.
+    data = run_simulate(tmp_path, config_path, horizon=5)
+    out = tmp_path / "f.csv"
+    with np.errstate(over="ignore"):
+        code = main(
+            [
+                "filter",
+                "--algo", "abc-apf",
+                "--eps", "1e-300",
+                "--particles", "64",
+                "--config", str(config_path),
+                "--data", str(data),
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+    assert code == EXIT_NUMERICAL
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

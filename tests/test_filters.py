@@ -198,6 +198,37 @@ def test_resample_preserves_size_and_resets_weights():
     assert np.allclose(np.exp(out.log_weights), 1.0 / 13.0, atol=1e-15)
 
 
+def _resample_weights(kind, n, rng):
+    lw = rng.normal(size=n)
+    if kind == "one_hot":
+        lw = np.full(n, -math.inf)
+        lw[n // 2] = 0.0
+    elif kind == "zeros":
+        # Exact zeros, single and in a run, give the CDF plateaus; the last
+        # weight stays positive.
+        lw[: n - 1 : 3] = -math.inf
+        lw[n // 4 : n // 2] = -math.inf
+    return normalize(lw)
+
+
+@pytest.mark.parametrize("kind", ["random", "one_hot", "zeros"])
+@pytest.mark.parametrize("n", [1, 2, 13, 5000])
+def test_multinomial_ancestors_match_unsorted_search(n, kind):
+    # The multinomial ancestors are exactly a plain search of the unsorted
+    # uniforms, element for element, and consume the same draws.
+    lw = _resample_weights(kind, n, np.random.default_rng(3007))
+    cloud = ParticleCloud(np.arange(n, dtype=float), lw)
+    rng = np.random.default_rng(3008)
+    _, ancestors = resample(cloud, "multinomial", rng)
+
+    same_seed = np.random.default_rng(3008)
+    cdf = np.cumsum(np.exp(lw))
+    cdf[-1] = 1.0
+    expected = np.searchsorted(cdf, same_seed.random(n), side="right")
+    assert np.array_equal(ancestors, expected)
+    assert rng.bit_generator.state == same_seed.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # resolve_epsilon (adaptive ABC-SMC tolerance)
 # ---------------------------------------------------------------------------
@@ -491,6 +522,66 @@ def test_run_equals_hand_driven_step(model, step, run, config):
     if step is abc_smc_step:
         # SMC resamples at the start of steps 2..T, never the prior cloud.
         assert out.resample_count == len(ys) - 1
+
+
+_PINNED_APF_SHIFTED_MEAN = [
+    "-0x1.6011e98d3874ap+2", "-0x1.6f9c82b710bc2p+2", "-0x1.814548e319840p+2",
+    "-0x1.be2a900441674p+2", "-0x1.7f57ca9de5489p+1", "-0x1.abd15d7033771p+1",
+    "-0x1.56a0f256e7671p+2", "-0x1.42cebd7156476p+2",
+]
+_PINNED_APF_SHIFTED_ESS = [
+    "0x1.b5561d7117ce4p+1", "0x1.96871c456061ap+3", "0x1.635460ab5ca22p+3",
+    "0x1.d6690200748aep+1", "0x1.cb6a9d1f5c7cbp+0", "0x1.7939de8a94427p+2",
+    "0x1.c62513af20767p+1", "0x1.18c171f8a6db2p+2",
+]
+_PINNED_APF_CENTRAL_MEAN = [
+    "-0x1.4ca16d58168f8p+2", "-0x1.5d5b3f2ff2c03p+2", "-0x1.a62df1efa42b6p+2",
+    "-0x1.51b434fc7bbfap+2", "-0x1.278fbae40ecd5p+2", "-0x1.1dbf1cc231922p+2",
+    "-0x1.1509339f295bep+2", "-0x1.178c871075da2p+2",
+]
+_PINNED_APF_CENTRAL_ESS = [
+    "0x1.dccc6e2515199p+3", "0x1.ad87ded9cfdbep+2", "0x1.324f6c6c391b3p+3",
+    "0x1.7f4e9f6987cf8p+2", "0x1.4501c8d2db7b1p+2", "0x1.fc229c63df904p+3",
+    "0x1.13bdad2f81dcap+4", "0x1.e5d30aca8b8e0p+2",
+]
+_PINNED_SMC_MEAN = [
+    "-0x1.71727331204c2p+2", "-0x1.af3108f4f4726p+2", "-0x1.056af18c02708p+3",
+    "-0x1.ebcea153615bcp+2", "-0x1.bfa472348bbbap+2", "-0x1.98081ae8c20b7p+2",
+    "-0x1.a2dd53b99a010p+2", "-0x1.6ff5491cdd3b6p+2",
+]
+_PINNED_SMC_ESS = ["0x1.fffffffffffffp+3"] * 8
+
+
+def test_run_pinned_bytes():
+    # Regression pin of three whole runs (T=8, N=64), so a change to the
+    # draws or to how they pair with the particles fails here.
+    ys = simulate(svm_model(), 8, 3301).y
+    cases = [
+        (
+            abc_apf_run,
+            FilterConfig(64, KernelSpec("gaussian", 0.25), ProposalSpec("shifted_t")),
+            _PINNED_APF_SHIFTED_MEAN, _PINNED_APF_SHIFTED_ESS, 8,
+        ),
+        (
+            abc_apf_run,
+            FilterConfig(
+                64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
+                resample_policy="ess_threshold", resample_scheme="systematic",
+            ),
+            _PINNED_APF_CENTRAL_MEAN, _PINNED_APF_CENTRAL_ESS, 7,
+        ),
+        (
+            abc_smc_run,
+            FilterConfig(64, KernelSpec("uniform", None), smc_percentile=0.25),
+            _PINNED_SMC_MEAN, _PINNED_SMC_ESS, 7,
+        ),
+    ]
+    for run, config, mean, ess_hex, resamples in cases:
+        out = run(ys, svm_model(), config, np.random.default_rng(3302))
+        assert [float(v).hex() for v in out.filtered_mean] == mean
+        assert [float(v).hex() for v in out.ess_trace] == ess_hex
+        assert out.resample_count == resamples
+        assert out.degeneracy_count == 0
 
 
 @st.composite
