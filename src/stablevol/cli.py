@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters), 3 on numerical failures
-(including a filter run whose every step was a degenerate reset).
+(including a filter run in which any step was a degenerate reset).
 """
 
 from __future__ import annotations
@@ -129,10 +129,12 @@ def _cmd_filter(args) -> int:
     traj = read_data_csv(args.data)
     rng = np.random.default_rng(args.seed)
     output = GridCell(args.algo, config).run(traj.y, model, rng)
-    if output.degeneracy_count == len(traj.y):
-        # Every step was reset to uniform weights: the estimate carries no
-        # information from the data.
-        raise DegenerateCloudError("every step's weights were all log-zero")
+    if output.degeneracy_count > 0:
+        # A reset step's weights ignore its observation, so its estimate
+        # carries no information from the data.
+        raise DegenerateCloudError(
+            f"{output.degeneracy_count} of {len(traj.y)} steps had all weights log-zero"
+        )
     write_filtered_csv(args.out, output)
     return EXIT_OK
 

@@ -4,8 +4,11 @@ Both filters share one loop, ``_run``: it draws the prior cloud from the
 model's stationary law, applies a step function once per observation and
 records the weighted mean, the ESS and the resample/degeneracy counters.
 Both steps pick ancestors with ``_select``: it applies the resampling policy
-to a selection law and either resamples once or keeps the identity ancestry.
-The filters differ in that law and in the weights:
+to a selection cloud and either resamples once or keeps the identity
+ancestry.  A ``ParticleCloud`` is frozen and computes its plain weights and
+its ESS at most once, so the step's diagnostic ESS, the next step's policy
+test, the filtered mean and the resampling CDF share those values.  The
+filters differ in the selection law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
   filter: the previous cloud is tilted by a cheap proposal density
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,20 +68,35 @@ class DegenerateCloudError(RuntimeError):
     """All particle weights are log-zero."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParticleCloud:
-    """States plus normalized log weights at time index t."""
+    """States plus normalized log weights at time index t.
+
+    Frozen, so the plain weights ``exp(log_weights)`` and the ESS, each
+    computed on first use and kept, always describe the cloud's own fields.
+    """
 
     states: np.ndarray
     log_weights: np.ndarray
     t: int = 0
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _ess: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
 
     @property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        if self._weights is None:
+            object.__setattr__(self, "_weights", np.exp(self.log_weights))
+        return self._weights
+
+    @property
+    def ess(self) -> float:
+        """``ess(log_weights)``, through the module-level function."""
+        if self._ess is None:
+            object.__setattr__(self, "_ess", ess(self.log_weights))
+        return self._ess
 
 
 def normalize(log_weights) -> np.ndarray:
@@ -88,19 +106,19 @@ def normalize(log_weights) -> np.ndarray:
     :class:`FloatingPointError` when an entry is NaN or +inf.
     """
     lw = np.asarray(log_weights, dtype=float)
-    m = np.max(lw)
-    if not np.isfinite(m):
+    m = lw.max()
+    if not math.isfinite(m):
         if m == -math.inf:
             raise DegenerateCloudError("all weights are log-zero")
         raise FloatingPointError(f"log weights must be finite or -inf, max is {m}")
-    return lw - (m + math.log(float(np.sum(np.exp(lw - m)))))
+    return lw - (m + math.log(float(np.exp(lw - m).sum())))
 
 
 def ess(log_weights) -> float:
     """Effective sample size 1 / sum(w_i^2) of normalized log weights."""
     lw = 2.0 * np.asarray(log_weights, dtype=float)
-    m = np.max(lw)
-    return float(np.exp(-(m + math.log(float(np.sum(np.exp(lw - m)))))))
+    m = lw.max()
+    return float(np.exp(-(m + math.log(float(np.exp(lw - m).sum())))))
 
 
 def resample(cloud: ParticleCloud, scheme: str, rng):
@@ -115,8 +133,8 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    w = np.exp(cloud.log_weights)
-    if abs(float(np.sum(w)) - 1.0) > 1e-9:
+    w = cloud.weights
+    if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ValueError("resample requires normalized weights")
     n = len(w)
     cdf = np.cumsum(w)
@@ -128,10 +146,10 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
         u = rng.random(n)
         order = np.argsort(u)
         ancestors = np.empty(n, dtype=np.intp)
-        ancestors[order] = np.searchsorted(cdf, u[order], side="right")
+        ancestors[order] = cdf.searchsorted(u[order], side="right")
     else:
         u = (rng.random() + np.arange(n)) / n
-        ancestors = np.searchsorted(cdf, u, side="right")
+        ancestors = cdf.searchsorted(u, side="right")
     out = ParticleCloud(
         states=cloud.states[ancestors],
         log_weights=np.full(n, -math.log(n)),
@@ -218,17 +236,17 @@ class FilterOutput:
     elapsed: float
 
 
-def _select(cloud: ParticleCloud, log_weights, config: FilterConfig, rng):
+def _select(selection: ParticleCloud, config: FilterConfig, rng):
     """Choose a step's ancestors; returns (cloud to propagate, ancestors, resampled).
 
-    The selection law is ``log_weights`` over ``cloud.states``.  Under the
-    resampling policy the cloud is either resampled once (uniform weights
-    after) or carried with these weights and the identity ancestry.
+    The selection law is ``selection``'s weights.  Under the resampling
+    policy the cloud is either resampled once (uniform weights after) or
+    carried with these weights and the identity ancestry.  A carried cloud
+    reuses the ESS it already holds.
     """
-    selected = ParticleCloud(cloud.states, log_weights, cloud.t)
-    if config.resample_policy == "every_step" or ess(log_weights) < config.threshold:
-        return (*resample(selected, config.resample_scheme, rng), True)
-    return selected, np.arange(len(cloud)), False
+    if config.resample_policy == "every_step" or selection.ess < config.threshold:
+        return (*resample(selection, config.resample_scheme, rng), True)
+    return selection, np.arange(len(selection)), False
 
 
 def _reweighted(states, raw, t: int, resampled: bool, ancestors):
@@ -238,8 +256,8 @@ def _reweighted(states, raw, t: int, resampled: bool, ancestors):
         lw, degenerate = normalize(raw), False
     except DegenerateCloudError:
         lw, degenerate = np.full(len(raw), -math.log(len(raw))), True
-    diag = StepDiagnostics(ess(lw), resampled, degenerate, ancestors)
-    return ParticleCloud(states, lw, t), diag
+    out = ParticleCloud(states, lw, t)
+    return out, StepDiagnostics(out.ess, resampled, degenerate, ancestors)
 
 
 def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rng):
@@ -252,11 +270,11 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     if config.proposal.is_state_independent:
         # A state-independent tilt cancels from both stages; skipping it keeps
         # the first-stage selection probabilities exactly the carried weights.
-        lp, first = None, cloud.log_weights
+        lp, first = None, cloud
     else:
         lp = log_phat(config.proposal, y, model.transition_mean(cloud.states))
-        first = normalize(cloud.log_weights + lp)
-    selected, ancestors, resampled = _select(cloud, first, config, rng)
+        first = ParticleCloud(cloud.states, normalize(cloud.log_weights + lp), cloud.t)
+    selected, ancestors, resampled = _select(first, config, rng)
     new_states = model.transition_sample(selected.states, rng)
     y_sim = model.observe_sample(new_states, rng)
     # The kernel bandwidth is resolved per particle: the configured epsilon is
@@ -286,7 +304,7 @@ def abc_smc_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     Consumes the rng in that order: resampling, transition, observation.
     """
     if cloud.t > 0:
-        cloud, ancestors, resampled = _select(cloud, cloud.log_weights, config, rng)
+        cloud, ancestors, resampled = _select(cloud, config, rng)
     else:
         ancestors, resampled = np.arange(len(cloud)), False
     states = model.transition_sample(cloud.states, rng)
@@ -313,9 +331,9 @@ def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
     n = config.n_particles
     states = np.asarray(model.initial_sample(rng, size=n), dtype=float)
     cloud = ParticleCloud(states=states, log_weights=np.full(n, -math.log(n)), t=0)
-    for t in range(horizon):
-        cloud, diag = step(cloud, float(ys[t]), model, config, rng)
-        filtered_mean[t] = float(np.dot(cloud.weights, cloud.states))
+    for t, y in enumerate(ys.tolist()):
+        cloud, diag = step(cloud, y, model, config, rng)
+        filtered_mean[t] = float(cloud.weights.dot(cloud.states))
         ess_trace[t] = diag.ess
         resample_count += diag.resampled
         degeneracy_count += diag.degenerate

@@ -220,15 +220,19 @@ def pdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
     """Density at x by inverting the characteristic function.
 
     Uses f(x) = (1/pi) Int_0^inf Re[psi(t) e^{-ixt}] dt (conjugate symmetry
-    halves the integration range) with adaptive panel quadrature.  Raises
-    :class:`QuadratureError` if the panel budget is exhausted before the
-    successive-refinement estimates agree to ``tol``.
+    halves the integration range) with adaptive panel quadrature; far tails
+    (alpha < 2) use the first-order power-law expansion, as in
+    :func:`cdf_numeric`.  Raises :class:`QuadratureError` if the panel budget
+    is exhausted before the successive-refinement estimates agree to ``tol``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if params.gamma == 0.0:
         raise ValueError("gamma = 0 is a point mass; density is not a function")
     x = float(x)
+
+    if _in_far_tail(params, x):
+        return _pdf_tail(params, x)
 
     def integrand(t):
         return np.real(np.exp(_log_char_fn(params, t) - 1j * x * t))
@@ -244,8 +248,15 @@ def _tail_constant(alpha: float) -> float:
 
 def _tail_switch_radius(params: StableParams) -> float:
     """Standardized |x - delta|/gamma beyond which the one-term tail expansion
-    is accurate to well under 1e-6 (error ~ x^{-2 alpha})."""
+    is accurate to well under 1e-6 in the CDF (error ~ x^{-2 alpha}); the
+    density's relative error there is below 5e-3 for alpha 0.8 to 1.75."""
     return max(50.0, 10.0 ** (3.2 / params.alpha))
+
+
+def _in_far_tail(params: StableParams, x: float) -> bool:
+    """Whether x lies past the switch to the power-law tail (alpha < 2 only)."""
+    z = (x - params.delta) / params.gamma
+    return params.alpha < 2.0 - 1e-12 and abs(z) > _tail_switch_radius(params)
 
 
 def _cdf_tail(params: StableParams, x: float) -> float:
@@ -254,6 +265,14 @@ def _cdf_tail(params: StableParams, x: float) -> float:
     if z > 0:
         return 1.0 - min(1.0, c * (1.0 + params.beta) * z ** (-params.alpha))
     return min(1.0, c * (1.0 - params.beta) * (-z) ** (-params.alpha))
+
+
+def _pdf_tail(params: StableParams, x: float) -> float:
+    """Derivative of :func:`_cdf_tail`:
+    alpha C_alpha (1 +- beta) gamma^alpha |x - delta|^(-alpha - 1)."""
+    side = 1.0 + params.beta if x > params.delta else 1.0 - params.beta
+    c = params.alpha * _tail_constant(params.alpha) * side * params.gamma**params.alpha
+    return c * abs(x - params.delta) ** (-params.alpha - 1.0)
 
 
 def _cdf_stub(params: StableParams, x: float, a0: float) -> float:
@@ -285,8 +304,7 @@ def cdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
         return float(x >= params.delta)
     x = float(x)
 
-    z = (x - params.delta) / params.gamma
-    if params.alpha < 2.0 - 1e-12 and abs(z) > _tail_switch_radius(params):
+    if _in_far_tail(params, x):
         return _cdf_tail(params, x)
 
     def integrand(t):

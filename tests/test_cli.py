@@ -349,6 +349,30 @@ def test_all_steps_degenerate_is_numerical_failure(tmp_path, config_path):
     assert not out.exists()
 
 
+def test_some_steps_degenerate_is_numerical_failure(tmp_path, config_path, capsys):
+    # At this bandwidth 18 of the 20 steps are degenerate resets and two keep
+    # a weight; a reset step's estimate ignores its observation, so the run
+    # fails and no estimate is written.
+    data = run_simulate(tmp_path, config_path, horizon=20, seed=1)
+    out = tmp_path / "f.csv"
+    with np.errstate(over="ignore", under="ignore"):
+        code = main(
+            [
+                "filter",
+                "--algo", "abc-apf",
+                "--eps", "3.16e-158",
+                "--particles", "200",
+                "--config", str(config_path),
+                "--data", str(data),
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+    assert code == EXIT_NUMERICAL
+    assert not out.exists()
+    assert "18 of 20 steps" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

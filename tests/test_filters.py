@@ -584,6 +584,52 @@ def test_run_pinned_bytes():
         assert out.degeneracy_count == 0
 
 
+def test_run_computes_each_cloud_ess_once(monkeypatch):
+    # Under the central t the selection law is the carried cloud itself, so
+    # its ESS is computed for the prior cloud and then once per step, where
+    # the step's diagnostic and the next step's policy test share it.
+    calls = []
+    orig = filters_mod.ess
+
+    def spy(log_weights):
+        calls.append(1)
+        return orig(log_weights)
+
+    monkeypatch.setattr(filters_mod, "ess", spy)
+    ys = LG.simulate(30, 3401)[1]
+    config = FilterConfig(
+        64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
+        resample_policy="ess_threshold", resample_scheme="systematic",
+    )
+    out = abc_apf_run(ys, LG, config, np.random.default_rng(3402))
+    assert 0 < out.resample_count < len(ys)
+    assert len(calls) == len(ys) + 1
+
+
+@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
+def test_cached_weights_and_ess_match_fresh_values(proposal):
+    ys = simulate(svm_model(), 20, 3403).y
+    model = svm_model()
+    config = FilterConfig(
+        128, KernelSpec("gaussian", 0.25), ProposalSpec(proposal),
+        resample_policy="ess_threshold", resample_scheme="systematic",
+    )
+    rng = np.random.default_rng(3404)
+    cloud = ParticleCloud(model.initial_sample(rng, size=128), np.full(128, -math.log(128)))
+    for y in ys:
+        cloud, diag = abc_apf_step(cloud, float(y), model, config, rng)
+        assert cloud.weights.tobytes() == np.exp(cloud.log_weights).tobytes()
+        assert float(diag.ess).hex() == ess(cloud.log_weights).hex()
+        assert cloud.ess == diag.ess
+
+
+def test_particle_cloud_is_frozen():
+    cloud = ParticleCloud(np.arange(4.0), np.full(4, -math.log(4.0)))
+    for name, value in [("states", np.zeros(4)), ("log_weights", np.zeros(4)), ("t", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(cloud, name, value)
+
+
 @st.composite
 def _filter_cases(draw):
     """A random valid (model, run, config) triple over both filters."""

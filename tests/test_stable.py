@@ -12,6 +12,7 @@ from scipy import stats
 
 from stablevol.stable import (
     StableParams,
+    _tail_switch_radius,
     cdf_numeric,
     char_fn,
     pdf_numeric,
@@ -249,6 +250,37 @@ def test_pdf_nonnegative_and_unit_mass(alpha, beta, radius):
     assert np.all(dens >= 0.0)
     mass = np.trapezoid(dens * np.cosh(v), v)
     assert abs(mass - 1.0) <= 1e-3
+
+
+def _one_term_tail_pdf(params, x):
+    """alpha C_alpha (1 +- beta) gamma^alpha |x - delta|^(-alpha - 1)."""
+    a = params.alpha
+    c_alpha = math.gamma(a) * math.sin(math.pi * a / 2.0) / math.pi
+    side = 1.0 + params.beta if x > params.delta else 1.0 - params.beta
+    return a * c_alpha * side * params.gamma**a * abs(x - params.delta) ** (-a - 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.75, 0.1), (1.2, 0.3), (0.8, -0.2)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pdf_switches_to_power_law_tail(alpha, beta, sign):
+    params = StableParams(alpha, beta, 1.0, 0.0)
+    radius = _tail_switch_radius(params)
+    # Just inside the switch the inversion agrees with the tail expansion ...
+    x_in = sign * 0.99 * radius
+    assert pdf_numeric(params, x_in) == pytest.approx(_one_term_tail_pdf(params, x_in), rel=1e-2)
+    # ... and past it the density is that expansion.
+    x_out = sign * 1.01 * radius
+    assert pdf_numeric(params, x_out) == pytest.approx(
+        _one_term_tail_pdf(params, x_out), rel=1e-12
+    )
+
+
+def test_pdf_far_tail_is_finite_and_positive():
+    # Past the inversion's oscillation budget (it raised QuadratureError here).
+    params = StableParams(0.8, -0.2, 1.0, 0.0)
+    for x in (5e4, -5e4):
+        val = pdf_numeric(params, x)
+        assert math.isfinite(val) and val > 0.0
 
 
 # ---------------------------------------------------------------------------
