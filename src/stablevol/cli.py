@@ -28,11 +28,8 @@ from .experiment import (
 from .filters import DegenerateCloudError, FilterConfig
 from .kernels import KernelSpec
 from .proposals import ProposalSpec, SeriesConvergenceError
-from .stable import QuadratureError
 
-_NUMERICAL_ERRORS = (
-    QuadratureError, SeriesConvergenceError, DegenerateCloudError, FloatingPointError
-)
+_NUMERICAL_ERRORS = (SeriesConvergenceError, DegenerateCloudError, FloatingPointError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -83,14 +83,11 @@ class RunMetrics:
 
 
 def run_metrics(output: FilterOutput, h_true) -> RunMetrics:
-    """Metrics of a filter output versus the true h_1..h_T path.
+    """Metrics of a filter output versus the true path h_0..h_T.
 
-    ``h_true`` may include the initial state (length T+1); the comparison
-    always covers t = 1..T.
+    The comparison covers t = 1..T; a path of any other length raises.
     """
-    h = np.asarray(h_true, dtype=float)
-    if len(h) == len(output.filtered_mean) + 1:
-        h = h[1:]
+    h = np.asarray(h_true, dtype=float)[1:]
     return RunMetrics(
         rmse=rmse(output.filtered_mean, h),
         ae=abs_error(output.filtered_mean, h),
@@ -358,11 +355,13 @@ def read_data_csv(path) -> Trajectory:
     for row in rows:
         if len(row) != 3:
             raise ValueError(f"data row must have 3 fields (t,y,h_true), got {row}")
-    if not rows or rows[0][0] != "0":
-        raise ValueError("data must start with the t=0 initial-state row")
+    if not rows or [row[0] for row in rows] != [str(t) for t in range(len(rows))]:
+        raise ValueError("the t column must read 0, 1, ..., T, from the t=0 initial-state row")
+    if rows[0][1]:
+        raise ValueError(f"the t=0 row holds h_0 only, but its y is {rows[0][1]!r}")
     h = np.array([float(row[2]) for row in rows])
     y = np.array([float(row[1]) for row in rows[1:]])
-    return Trajectory(h=h, y=y, seed=0)
+    return Trajectory(h=h, y=y)
 
 
 def write_filtered_csv(path, output: FilterOutput) -> None:

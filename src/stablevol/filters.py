@@ -6,8 +6,8 @@ records the weighted mean, the ESS and the resample/degeneracy counters.
 Both steps pick ancestors with ``_select``: it applies the resampling policy
 to a selection cloud and either resamples once or keeps the identity
 ancestry.  A ``ParticleCloud`` is frozen and computes its plain weights and
-its ESS at most once, so the step's diagnostic ESS, the next step's policy
-test, the filtered mean and the resampling CDF share those values.  The
+its ESS at most once, so the recorded ESS, the next step's policy test, the
+filtered mean and the resampling CDF share those values.  The
 filters differ in the selection law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
@@ -214,7 +214,6 @@ class FilterConfig:
 
 @dataclass
 class StepDiagnostics:
-    ess: float
     resampled: bool
     degenerate: bool
     ancestors: np.ndarray
@@ -257,7 +256,7 @@ def _reweighted(states, raw, t: int, resampled: bool, ancestors):
     except DegenerateCloudError:
         lw, degenerate = np.full(len(raw), -math.log(len(raw))), True
     out = ParticleCloud(states, lw, t)
-    return out, StepDiagnostics(out.ess, resampled, degenerate, ancestors)
+    return out, StepDiagnostics(resampled, degenerate, ancestors)
 
 
 def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rng):
@@ -334,7 +333,7 @@ def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
     for t, y in enumerate(ys.tolist()):
         cloud, diag = step(cloud, y, model, config, rng)
         filtered_mean[t] = float(cloud.weights.dot(cloud.states))
-        ess_trace[t] = diag.ess
+        ess_trace[t] = cloud.ess
         resample_count += diag.resampled
         degeneracy_count += diag.degenerate
     elapsed = time.perf_counter() - start

@@ -44,6 +44,9 @@ ALPHA_ONE_BAND = 1e-8
 # envelope exp(-(gamma t)^alpha) is below 1e-12.
 _LOG_TRUNC = 12.0 * math.log(10.0)
 
+# Absolute accuracy of every inversion value (density and CDF alike).
+_TOL = 1e-8
+
 # Composite Gauss-Legendre rule used on every quadrature panel.
 _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -103,11 +106,12 @@ def char_fn(params: StableParams, t):
     return np.exp(_log_char_fn(params, np.asarray(t, dtype=float)))
 
 
-def _cms(alpha: float, beta: float, u, w):
+def _cms(params: StableParams, u, w):
     """CMS transformation of U ~ Uniform(-pi/2, pi/2), W ~ Expo(1)."""
+    alpha, beta = params.alpha, params.beta
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+    if params.is_alpha_one:
         bu = np.pi / 2.0 + beta * u
         return (2.0 / np.pi) * (
             bu * np.tan(u) - beta * np.log((np.pi / 2.0) * w * np.cos(u) / bu)
@@ -127,10 +131,10 @@ def sample_standard(alpha: float, beta: float, rng, size=None):
     (``numpy.random.Generator`` does).  Returns an array of the requested
     shape, and a numpy scalar or 0-d array for ``size=None`` or ``size=()``.
     """
-    StableParams(alpha, beta, 1.0, 0.0)  # validate the parameter ranges
+    params = StableParams(alpha, beta, 1.0, 0.0)  # validates the ranges
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)
-    return _cms(alpha, beta, u, w)
+    return _cms(params, u, w)
 
 
 def transform(x, params: StableParams):
@@ -165,14 +169,14 @@ def _panel_edges(params: StableParams, x: float) -> np.ndarray:
 
     Geometrically graded panels near the origin absorb the |t|^alpha kink
     (alpha < 1) and the 1/t factor of the CDF integrand.  They hand over to a
-    uniform grid resolving the e^{-ixt} oscillation (>= 6 panels per period)
-    at the point where the geometric gaps would outgrow the period scale, so
-    large |x - delta| never leaves whole periods inside one coarse panel.
+    uniform grid of >= 2 panels per e^{-ixt} period (the adaptive doubling
+    checks every value to tolerance) where the geometric gaps would outgrow
+    the period, so large |x - delta| never leaves whole periods in one panel.
     """
     tmax = _t_max(params)
     geo = tmax * 2.0 ** np.arange(-60.0, -5.0)  # 2^-60 t_max ... 2^-6 t_max
     freq = abs(x - params.delta)
-    width = 2.0 * np.pi / (6.0 * freq) if freq > 0.0 else np.inf
+    width = np.pi / freq if freq > 0.0 else np.inf
     # Consecutive geometric edges differ by a factor 2, so the gap above edge
     # e equals e itself; keep edges only while that gap stays below `width`.
     keep = geo[: max(1, int(np.searchsorted(geo, width, side="right")))]
@@ -202,31 +206,30 @@ def _split(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adaptive_panels(f, edges: np.ndarray, tol: float, max_refine: int = 9) -> float:
-    """Refine all panels until two successive composite estimates agree to tol."""
+def _adaptive_panels(f, edges: np.ndarray) -> float:
+    """Halve all panels until two successive estimates agree to pi * _TOL
+    (both inversions divide the integral by pi)."""
     prev = _composite_gl(f, edges)
-    for _ in range(max_refine):
+    for _ in range(9):
         edges = _split(edges)
         if (len(edges) - 1) * _GL_ORDER > 4e7:
             raise QuadratureError("quadrature node budget exceeded")
         cur = _composite_gl(f, edges)
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= _TOL * np.pi:
             return cur
         prev = cur
-    raise QuadratureError(f"quadrature failed to converge to tol={tol}")
+    raise QuadratureError(f"quadrature failed to converge to {_TOL}")
 
 
-def pdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
+def pdf_numeric(params: StableParams, x: float) -> float:
     """Density at x by inverting the characteristic function.
 
     Uses f(x) = (1/pi) Int_0^inf Re[psi(t) e^{-ixt}] dt (conjugate symmetry
     halves the integration range) with adaptive panel quadrature; far tails
     (alpha < 2) use the first-order power-law expansion, as in
     :func:`cdf_numeric`.  Raises :class:`QuadratureError` if the panel budget
-    is exhausted before the successive-refinement estimates agree to ``tol``.
+    is exhausted before the successive-refinement estimates agree to 1e-8.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if params.gamma == 0.0:
         raise ValueError("gamma = 0 is a point mass; density is not a function")
     x = float(x)
@@ -237,7 +240,7 @@ def pdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
     def integrand(t):
         return np.real(np.exp(_log_char_fn(params, t) - 1j * x * t))
 
-    val = _adaptive_panels(integrand, _panel_edges(params, x), tol * np.pi) / np.pi
+    val = _adaptive_panels(integrand, _panel_edges(params, x)) / np.pi
     return max(val, 0.0)
 
 
@@ -289,7 +292,7 @@ def _cdf_stub(params: StableParams, x: float, a0: float) -> float:
     return base + c * a0**params.alpha / params.alpha
 
 
-def cdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
+def cdf_numeric(params: StableParams, x: float) -> float:
     """CDF at x, consistent with :func:`pdf_numeric`.
 
     Bulk values come from the inversion integral
@@ -298,8 +301,6 @@ def cdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
     analytic stub covers [0, 2^-60 t_max]); far tails (alpha < 2) use the
     first-order power-law expansion.  The result is clipped to [0, 1].
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if params.gamma == 0.0:
         return float(x >= params.delta)
     x = float(x)
@@ -311,6 +312,6 @@ def cdf_numeric(params: StableParams, x: float, tol: float = 1e-8) -> float:
         return np.imag(np.exp(_log_char_fn(params, t) - 1j * x * t)) / t
 
     edges = _panel_edges(params, x)
-    val = _adaptive_panels(integrand, edges, tol * np.pi)
+    val = _adaptive_panels(integrand, edges)
     val += _cdf_stub(params, x, float(edges[0]))
     return float(np.clip(0.5 - val / np.pi, 0.0, 1.0))

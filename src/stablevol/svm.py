@@ -13,7 +13,7 @@ N(mu / (1 - phi), sigma_h^2 / (1 - phi^2)).  The state equation lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class Trajectory:
 
     h: np.ndarray
     y: np.ndarray
-    seed: int = field(default=0)
 
     @property
     def horizon(self) -> int:
@@ -124,4 +123,4 @@ def simulate(params, horizon: int, seed) -> Trajectory:
     for t in range(1, horizon + 1):
         h[t] = params.transition_sample(h[t - 1], rng)
         y[t - 1] = params.observe_sample(h[t], rng)
-    return Trajectory(h=h, y=y, seed=seed)
+    return Trajectory(h=h, y=y)

@@ -223,7 +223,11 @@ def test_malformed_data_csv_is_config_error(tmp_path, config_path):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("row", ["1,0.5", "1,0.5,0.1,9"], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "row",
+    ["1,0.5", "1,0.5,0.1,9", "2,0.5,0.1", "5,0.5,0.1"],
+    ids=["short", "long", "t-out-of-order", "t-repeated"],
+)
 def test_malformed_data_row_is_config_error(tmp_path, config_path, row):
     data = run_simulate(tmp_path, config_path, horizon=5)
     data.write_text(data.read_text() + row + "\n")

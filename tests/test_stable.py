@@ -216,23 +216,21 @@ def test_sample_ks_grid_vs_quadrature_cdf(alpha, beta):
 
 
 def test_pdf_cauchy_at_zero():
-    val = pdf_numeric(StableParams(1.0, 0.0, 1.0, 0.0), 0.0, tol=1e-8)
+    val = pdf_numeric(StableParams(1.0, 0.0, 1.0, 0.0), 0.0)
     assert val == pytest.approx(1.0 / math.pi, abs=1e-7)
 
 
 def test_pdf_normal_at_zero():
-    val = pdf_numeric(StableParams(2.0, 0.0, 1.0, 0.0), 0.0, tol=1e-8)
+    val = pdf_numeric(StableParams(2.0, 0.0, 1.0, 0.0), 0.0)
     assert val == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-7)
 
 
 def test_pdf_cross_checked_against_independent_quadrature():
-    val = pdf_numeric(StableParams(1.75, 0.1, 1.0, 0.0), 1.0, tol=1e-8)
+    val = pdf_numeric(StableParams(1.75, 0.1, 1.0, 0.0), 1.0)
     assert val == pytest.approx(PDF_175_01_AT_1, abs=10e-8)
 
 
-def test_pdf_rejects_bad_tolerance_and_zero_scale():
-    with pytest.raises(ValueError):
-        pdf_numeric(StableParams(1.5, 0.0, 1.0, 0.0), 0.0, tol=0.0)
+def test_pdf_rejects_zero_scale():
     with pytest.raises(ValueError):
         pdf_numeric(StableParams(1.5, 0.0, 0.0, 0.0), 0.0)
 
@@ -273,6 +271,64 @@ def test_pdf_switches_to_power_law_tail(alpha, beta, sign):
     assert pdf_numeric(params, x_out) == pytest.approx(
         _one_term_tail_pdf(params, x_out), rel=1e-12
     )
+
+
+# Regression pin of the reference density and CDF, (x, pdf, cdf) per law
+# (alpha, beta, gamma, delta), recorded from the inversion with 6 panels per
+# e^{-ixt} period and tolerance 1e-8.  Points with |x| in the hundreds inside
+# the tail switch exercise the oscillation grid; the rest cover the bulk and
+# the alpha = 1 branch.  A change to the grid or the tolerance must stay
+# within 1e-12.
+_DENSITY_PINS = [
+    ((1.75, 0.1, 1.0, 0.0), [
+        (-300.0, 2.7178904923466938e-08, 4.6592408440229035e-06),
+        (-3.0, 0.030495672082985578, 0.031231319481445474),
+        (-0.5, 0.26706353676227484, 0.3682968712362845),
+        (0.0, 0.28327433365540805, 0.507529882521961),
+        (1.0, 0.20725058561327306, 0.7624357313886607),
+        (200.0, 1.013055158971606e-07, 0.9999884222267547),
+    ]),
+    ((1.5, -0.7, 2.0, 1.0), [
+        (-300.0, 9.152695310205712e-07, 0.00018366408589146126),
+        (-3.0, 0.029461669185904326, 0.10591281821398779),
+        (-0.5, 0.07449829702888396, 0.22813534082831277),
+        (0.0, 0.08779148358936018, 0.26866446682404627),
+        (1.0, 0.11550981987343319, 0.3703999251905289),
+        (200.0, 4.5696709581594434e-07, 0.999939541651951),
+    ]),
+    ((1.2, 0.3, 1.0, 0.0), [
+        (-300.0, 8.319145897757864e-07, 0.00020762283989367303),
+        (-3.0, 0.05564225409079983, 0.08796800879584687),
+        (-0.5, 0.25709083827153395, 0.586246886396126),
+        (0.0, 0.1883112045782756, 0.697761328000414),
+        (1.0, 0.08695361603214403, 0.8293976275453916),
+        (200.0, 3.7469312129814666e-06, 0.9993746746699605),
+    ]),
+    ((1.0, 0.5, 1.0, 0.0), [
+        (-300.0, 1.7505612781798528e-06, 0.0005275571725632533),
+        (-3.0, 0.016645663544486038, 0.048987445578080935),
+        (-0.5, 0.29260958148075966, 0.2864085232950674),
+        (0.0, 0.29252047056602404, 0.4375114838590963),
+        (1.0, 0.15993626946128775, 0.6635450982516796),
+        (200.0, 1.2103702131616698e-05, 0.9975940778482149),
+    ]),
+    ((0.8, -0.2, 1.0, 0.0), [
+        (-300.0, 1.1815129899347724e-05, 0.004421098152000202),
+        (-3.0, 0.04925924281705894, 0.18409805790326933),
+        (-0.5, 0.3559818372906298, 0.5646443619794907),
+        (0.0, 0.22760100272848294, 0.7195404336166972),
+        (1.0, 0.06511303361007523, 0.8426450466314332),
+        (200.0, 1.5952252422502574e-05, 0.9959721975206521),
+    ]),
+]
+
+
+@pytest.mark.parametrize("law, rows", _DENSITY_PINS)
+def test_density_and_cdf_match_pinned_values(law, rows):
+    params = StableParams(*law)
+    for x, pdf, cdf in rows:
+        assert abs(pdf_numeric(params, x) - pdf) <= 1e-12, x
+        assert abs(cdf_numeric(params, x) - cdf) <= 1e-12, x
 
 
 def test_pdf_far_tail_is_finite_and_positive():
