@@ -4,23 +4,23 @@ A study is a grid of filter configurations ("cells") run against shared
 per-replicate datasets, so cells are compared on identical data.  Every
 random stream is derived from (base_seed, replicate, label) via SHA-256, which
 makes results reproducible bit-for-bit regardless of execution order or the
-number of worker threads.
+number of worker processes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import FilterConfig, FilterOutput, abc_apf_run, abc_smc_run
 from .kernels import KernelSpec
-from .proposals import ProposalSpec
+from .proposals import DOF, ProposalSpec
 from .stable import StableParams
 from .svm import SvmParams, Trajectory, simulate
 
@@ -125,7 +125,7 @@ class GridCell:
         parts = [
             self.algo,
             self.proposal_name,
-            c.proposal.dof if self.algo == "abc-apf" else "-",
+            DOF if self.algo == "abc-apf" else "-",
             c.kernel.kind,
             c.kernel.epsilon,
             c.smc_percentile if self.algo == "abc-smc" else "-",
@@ -207,17 +207,20 @@ def _replicate_task(spec: StudySpec, replicate: int):
 def run_study(spec: StudySpec, max_workers: int = 1) -> StudyResult:
     """Run every cell against every paired replicate.
 
-    ``max_workers`` > 1 runs replicates in a thread pool; results are
-    bit-identical for any worker count because each (replicate, cell) pair
-    owns a derived seed.
+    ``max_workers`` > 1 runs replicates in a pool of spawned processes (the
+    filters are Python-bound, so threads would share one interpreter lock);
+    results are bit-identical for any worker count because each
+    (replicate, cell) pair owns a derived seed.
     """
     if max_workers <= 1:
         rows = [_replicate_task(spec, r) for r in range(spec.replicates)]
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(
-                pool.map(lambda r: _replicate_task(spec, r), range(spec.replicates))
-            )
+        # Imported here, so a serial study loads no multiprocessing modules.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(max_workers, mp_context=get_context("spawn")) as pool:
+            rows = list(pool.map(functools.partial(_replicate_task, spec), range(spec.replicates)))
     metrics = [
         [rows[r][c] for r in range(spec.replicates)] for c in range(len(spec.cells))
     ]

@@ -159,9 +159,13 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
 
 
 def resolve_epsilon(distances: np.ndarray, percentile: float) -> float:
-    """Adaptive ABC-SMC tolerance: the ceil(percentile * N)-th smallest distance."""
+    """Adaptive ABC-SMC tolerance: the ceil(percentile * N)-th smallest distance.
+
+    A product within 1e-9 above an integer counts as that integer, since float
+    rounding lifts exact products past it (0.07 * 5000 = 350.00000000000006).
+    """
     d = np.asarray(distances, dtype=float)
-    k = math.ceil(percentile * len(d))
+    k = math.ceil(percentile * len(d) - 1e-9)
     k = min(max(k, 1), len(d))
     return float(np.partition(d, k - 1)[k - 1])
 

@@ -8,9 +8,9 @@ delta) has characteristic function
     E exp(itX) = exp{ -gamma|t| [1 + i beta (2/pi) sign(t) log|t|]
                       + i delta t }                                  (alpha == 1)
 
-with stability index alpha in (0, 2], skewness beta in [-1, 1], scale gamma >= 0
-and location delta.  alpha = 2 is Normal(delta, 2 gamma^2); alpha = 1, beta = 0 is
-Cauchy(delta, gamma); alpha = 1/2, beta = 1 is Levy(delta, gamma).
+with stability index alpha in (0, 2], skewness beta in [-1, 1], scale gamma in
+(0, inf) and location delta.  alpha = 2 is Normal(delta, 2 gamma^2); alpha = 1,
+beta = 0 is Cauchy(delta, gamma); alpha = 1/2, beta = 1 is Levy(delta, gamma).
 
 Sampling uses the Chambers-Mallows-Stuck (CMS) transformation of a uniform and an
 exponential variate.  Densities and CDFs are obtained by direct numerical
@@ -70,8 +70,8 @@ class StableParams:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must lie in (0, inf), got {self.gamma}")
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
@@ -142,8 +142,6 @@ def transform(x, params: StableParams):
     g, d = params.gamma, params.delta
     x = np.asarray(x, dtype=float)
     if params.is_alpha_one:
-        if g == 0.0:
-            return d + 0.0 * x
         shift = d + params.beta * (2.0 / np.pi) * g * math.log(g)
         return g * x + shift
     return g * x + d
@@ -230,8 +228,6 @@ def pdf_numeric(params: StableParams, x: float) -> float:
     :func:`cdf_numeric`.  Raises :class:`QuadratureError` if the panel budget
     is exhausted before the successive-refinement estimates agree to 1e-8.
     """
-    if params.gamma == 0.0:
-        raise ValueError("gamma = 0 is a point mass; density is not a function")
     x = float(x)
 
     if _in_far_tail(params, x):
@@ -301,8 +297,6 @@ def cdf_numeric(params: StableParams, x: float) -> float:
     analytic stub covers [0, 2^-60 t_max]); far tails (alpha < 2) use the
     first-order power-law expansion.  The result is clipped to [0, 1].
     """
-    if params.gamma == 0.0:
-        return float(x >= params.delta)
     x = float(x)
 
     if _in_far_tail(params, x):

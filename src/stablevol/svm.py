@@ -74,8 +74,6 @@ class SvmParams(AR1State):
     def __post_init__(self) -> None:
         self._require_stationary()
         super().__post_init__()
-        if not self.obs_noise.gamma > 0.0:
-            raise ValueError("obs_noise must have scale gamma > 0")
         if self.obs_noise.delta != 0.0:
             raise ValueError("obs_noise must be centered (delta = 0)")
 
@@ -85,7 +83,7 @@ class SvmParams(AR1State):
         v = stable_sample(self.obs_noise, rng, size)
         # The scalar branch generates simulated data: numpy's exp differs from
         # math.exp in the last bit on some inputs, so it would change datasets.
-        return np.exp(np.asarray(h, dtype=float) / 2.0) * v if size else math.exp(h / 2.0) * v
+        return self.observation_scale(h) * v if size else math.exp(h / 2.0) * v
 
     def observation_scale(self, h):
         """State-dependent factor multiplying the observation noise: exp(h/2).

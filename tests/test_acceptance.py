@@ -12,6 +12,7 @@ them, so each is computed once.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -102,7 +103,7 @@ def table_study():
         base_seed=BASE_SEED,
     )
     start = time.perf_counter()
-    result = run_study(spec)
+    result = run_study(spec, max_workers=os.cpu_count())
     return result, time.perf_counter() - start
 
 
@@ -124,7 +125,7 @@ def tail_sweep():
             replicates=50,
             base_seed=BASE_SEED,
         )
-        result = run_study(spec)
+        result = run_study(spec, max_workers=os.cpu_count())
         means.append(result.aggregate(0)["mean"].rmse)
     return means
 
@@ -364,7 +365,7 @@ def test_criterion_9_property_suite_spot_checks(capsys):
         )
         checks.append(abs(mass - 1.0) < 1e-4)
 
-    # Seed determinism under varying thread counts: the study harness returns
+    # Seed determinism under varying worker counts: the study harness returns
     # bit-identical error metrics for any worker count.
     spec = StudySpec(
         model=reference_model(),
@@ -374,11 +375,11 @@ def test_criterion_9_property_suite_spot_checks(capsys):
         base_seed=777,
     )
     serial = run_study(spec, max_workers=1)
-    threaded = run_study(spec, max_workers=4)
+    pooled = run_study(spec, max_workers=4)
     same = all(
         (a.rmse, a.ae, a.degeneracy_count) == (b.rmse, b.ae, b.degeneracy_count)
         for c in range(2)
-        for a, b in zip(serial.metrics[c], threaded.metrics[c])
+        for a, b in zip(serial.metrics[c], pooled.metrics[c])
     )
     checks.append(same)
 
@@ -390,6 +391,6 @@ def test_criterion_9_property_suite_spot_checks(capsys):
         ok,
         f"{sum(checks)}/{len(checks)} gates hold "
         "(normalization, ESS bounds, unbiased resampling, density mass, "
-        "threaded determinism)",
+        "worker-count determinism)",
     )
     assert ok, line

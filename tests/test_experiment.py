@@ -140,6 +140,13 @@ def test_cell_label_is_content_canonical():
     assert small_cell(eps=0.5).label != a.label
 
 
+def test_cell_labels_are_pinned():
+    # Labels feed derive(), so a changed string would move every study seed.
+    cells = benchmark_cells()
+    assert cells[4].label == "abc-apf|shifted_t|2.0|gaussian|0.25|-|5000|every_step|None|multinomial"
+    assert cells[-3].label == "abc-smc|-|-|uniform|None|0.25|5000|every_step|None|multinomial"
+
+
 def test_reference_model_parameters():
     m = reference_model()
     assert (m.mu, m.phi, m.sigma_h) == (-0.2, 0.95, 0.6)
@@ -192,8 +199,8 @@ def test_study_bit_identical_across_invocations_and_workers():
     spec = small_spec(replicates=4)
     first = run_study(spec, max_workers=1)
     second = run_study(spec, max_workers=1)
-    threaded = run_study(spec, max_workers=4)
-    for a, b in ((first, second), (first, threaded)):
+    pooled = run_study(spec, max_workers=4)
+    for a, b in ((first, second), (first, pooled)):
         for ca, cb in zip(a.metrics, b.metrics):
             for ma, mb in zip(ca, cb):
                 assert (ma.rmse, ma.ae, ma.degeneracy_count) == (

@@ -250,6 +250,13 @@ def test_resolve_epsilon_keeps_closest_quarter():
     assert int(np.sum(survivors)) == 1 and survivors[0]
 
 
+def test_resolve_epsilon_exact_product_is_not_rounded_up():
+    # 0.07 * 100 and 0.07 * 5000 round to 7.000000000000001 and 350.00000000000006.
+    assert resolve_epsilon(np.arange(100.0), 0.07) == 6.0
+    d = np.arange(5000.0)
+    assert int(np.sum(d <= resolve_epsilon(d, 0.07))) == 350
+
+
 # ---------------------------------------------------------------------------
 # abc_apf_step
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from _oracles import LOG_NCT_DOF2_NC15_AT_2, LOG_T2_AT_ONE, LOG_T2_AT_ZERO
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProposalSpec("laplace")
-    with pytest.raises(ValueError):
-        ProposalSpec("central_t", dof=0.0)
     assert ProposalSpec("central_t").is_state_independent
     assert not ProposalSpec("shifted_t").is_state_independent
     assert not ProposalSpec("noncentral_t").is_state_independent
@@ -116,14 +114,6 @@ def test_noncentral_cross_checked_against_scipy():
         mine = log_phat(ProposalSpec("noncentral_t"), ys, np.full_like(ys, nc))
         ref = stats.nct.logpdf(ys, 2.0, nc)
         assert np.max(np.abs(mine - ref)) < 5e-6, f"nc={nc}"
-
-
-@pytest.mark.parametrize("dof", [400.0, 1e5])
-@pytest.mark.parametrize("y, nc", [(1.0, 0.5), (-3.0, 2.0), (2.5, -1.0)])
-def test_noncentral_large_dof_falls_back_to_quadrature(dof, y, nc):
-    # math.gamma((dof + 2) / 2) overflows past dof ~ 341; the series is skipped.
-    mine = log_phat(ProposalSpec("noncentral_t", dof=dof), y, nc)
-    assert abs(mine - stats.nct.logpdf(y, dof, nc)) < 5e-6
 
 
 def test_noncentral_broadcasts_observation_against_states():

@@ -39,7 +39,16 @@ from _oracles import (
 
 @pytest.mark.parametrize(
     "alpha, beta, gamma",
-    [(0.0, 0.0, 1.0), (2.1, 0.0, 1.0), (-0.5, 0.0, 1.0), (1.5, 1.2, 1.0), (1.5, -1.01, 1.0), (1.5, 0.0, -0.1)],
+    [
+        (0.0, 0.0, 1.0),
+        (2.1, 0.0, 1.0),
+        (-0.5, 0.0, 1.0),
+        (1.5, 1.2, 1.0),
+        (1.5, -1.01, 1.0),
+        (1.5, 0.0, -0.1),
+        (1.5, 0.0, 0.0),
+        (1.5, 0.0, math.inf),
+    ],
 )
 def test_params_rejects_out_of_domain(alpha, beta, gamma):
     with pytest.raises(ValueError):
@@ -47,7 +56,7 @@ def test_params_rejects_out_of_domain(alpha, beta, gamma):
 
 
 def test_params_accepts_boundaries():
-    StableParams(2.0, 1.0, 0.0, -3.0)
+    StableParams(2.0, 1.0, 1e-300, -3.0)
     StableParams(0.1, -1.0, 2.5, 0.0)
 
 
@@ -143,10 +152,6 @@ def test_transform_alpha_one_log_term_at_scale_e():
     assert transform(0.0, StableParams(1.0, 1.0, math.e, 0.0)) == pytest.approx(
         TRANSFORM_ALPHA_ONE_E_SCALE, abs=1e-12
     )
-
-
-def test_transform_alpha_one_zero_scale_returns_location():
-    assert transform(0.0, StableParams(1.0, 1.0, 0.0, 4.5)) == pytest.approx(4.5)
 
 
 # ---------------------------------------------------------------------------
