@@ -11,7 +11,6 @@ from .stable import (
     StableParams,
     QuadratureError,
     char_fn,
-    sample_standard,
     transform,
     sample,
     pdf_numeric,

@@ -48,22 +48,23 @@ __all__ = [
 _ALGOS = ("abc-apf", "abc-smc")
 
 
-def rmse(estimate, truth) -> float:
-    """Root mean squared error between two equal-length paths."""
+def _residual(estimate, truth) -> np.ndarray:
+    """estimate - truth, for two paths of the same shape."""
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
     if e.shape != t.shape:
         raise ValueError(f"length mismatch: {e.shape} vs {t.shape}")
-    return float(np.sqrt(np.mean((e - t) ** 2)))
+    return e - t
+
+
+def rmse(estimate, truth) -> float:
+    """Root mean squared error between two equal-length paths."""
+    return float(np.sqrt(np.mean(_residual(estimate, truth) ** 2)))
 
 
 def abs_error(estimate, truth) -> float:
     """Mean absolute error between two equal-length paths."""
-    e = np.asarray(estimate, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    if e.shape != t.shape:
-        raise ValueError(f"length mismatch: {e.shape} vs {t.shape}")
-    return float(np.mean(np.abs(e - t)))
+    return float(np.mean(np.abs(_residual(estimate, truth))))
 
 
 def derive(base_seed: int, replicate: int, label: str) -> int:

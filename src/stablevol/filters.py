@@ -27,6 +27,9 @@ Models are duck-typed: anything with ``initial_sample(rng, size)``,
 and ``LinearGaussianParams`` both do).  All weights live in log space; a cloud
 whose weights all vanish is reset to uniform and counted rather than aborting
 the run.  Non-finite observations are rejected before the first step.
+
+``kalman_run`` is the exact filter of ``LinearGaussianParams``.  Like the
+particle filters, it starts from the stationary law of x_0.
 """
 
 from __future__ import annotations
@@ -324,7 +327,7 @@ def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
         raise ValueError("observation record is empty")
     if not np.all(np.isfinite(ys)):
         raise ValueError("observation record holds a NaN or infinite value")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     horizon = len(ys)
     filtered_mean = np.empty(horizon)
     ess_trace = np.empty(horizon)
@@ -375,8 +378,8 @@ class LinearGaussianParams(AR1State):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.sigma_y > 0.0:
-            raise ValueError(f"sigma_y must be > 0, got {self.sigma_y}")
+        if not 0.0 < self.sigma_y < math.inf:
+            raise ValueError(f"sigma_y must lie in (0, inf), got {self.sigma_y}")
 
     def observe_sample(self, h, rng):
         return np.asarray(h, dtype=float) + self.sigma_y * rng.standard_normal(np.shape(h))
@@ -391,24 +394,17 @@ class LinearGaussianParams(AR1State):
         return traj.h, traj.y
 
 
-def kalman_run(lg: LinearGaussianParams, ys, prior_mean=None, prior_var=None):
+def kalman_run(lg: LinearGaussianParams, ys):
     """Exact Kalman filter for the linear-Gaussian model.
 
-    Returns (filtered means, filtered variances) for t = 1..T.  The prior on
-    x_0 defaults to the stationary law (rejecting |phi| >= 1); an explicit
-    (prior_mean, prior_var) pair overrides it.
+    Returns (filtered means, filtered variances) for t = 1..T.  x_0 follows
+    the stationary law, the law every particle filter draws its prior cloud
+    from.
     """
     ys = np.asarray(ys, dtype=float)
     if len(ys) == 0:
         raise ValueError("observation record is empty")
-    if (prior_mean is None) != (prior_var is None):
-        raise ValueError("prior_mean and prior_var must be given together")
-    if prior_mean is None:
-        m, p = lg.stationary_mean, lg.stationary_var
-    else:
-        m, p = float(prior_mean), float(prior_var)
-        if not p >= 0.0:
-            raise ValueError(f"prior_var must be >= 0, got {prior_var}")
+    m, p = lg.stationary_mean, lg.stationary_var
     q, r2 = lg.sigma_h**2, lg.sigma_y**2
     means = np.empty(len(ys))
     variances = np.empty(len(ys))

@@ -62,48 +62,49 @@ class ProposalSpec:
         return self.kind == "central_t"
 
 
-def _t_logpdf(x, dof: float):
+# log normalising constant of the central Student t with DOF degrees of freedom.
+_T_LOG_CONST = (
+    math.lgamma((DOF + 1.0) / 2.0) - math.lgamma(DOF / 2.0) - 0.5 * math.log(DOF * np.pi)
+)
+
+
+def _t_logpdf(x):
     """log density of the central Student t."""
     x_arr = np.asarray(x, dtype=float)
-    const = (
-        math.lgamma((dof + 1.0) / 2.0)
-        - math.lgamma(dof / 2.0)
-        - 0.5 * math.log(dof * np.pi)
-    )
-    return const - 0.5 * (dof + 1.0) * np.log1p(x_arr * x_arr / dof)
+    return _T_LOG_CONST - 0.5 * (DOF + 1.0) * np.log1p(x_arr * x_arr / DOF)
 
 
-def _nct_logpdf_quad(x: float, dof: float, nc: float) -> float:
+def _nct_logpdf_quad(x: float, nc: float) -> float:
     """Non-central t log density by quadrature of the scale-mixture integral."""
-    s2 = dof + x * x
+    s2 = DOF + x * x
     xl = x * nc
-    mode = (xl + math.sqrt(xl * xl + 4.0 * dof * s2)) / (2.0 * s2)
-    width = 1.0 / math.sqrt(dof / mode**2 + s2)
+    mode = (xl + math.sqrt(xl * xl + 4.0 * DOF * s2)) / (2.0 * s2)
+    width = 1.0 / math.sqrt(DOF / mode**2 + s2)
     lo = max(mode - 12.0 * width, 0.0)
     hi = mode + 12.0 * width
     s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _QUAD_NODES
     logw = np.log(0.5 * (hi - lo) * _QUAD_WEIGHTS)
     const = (
         math.log(2.0)
-        + 0.5 * dof * math.log(dof / 2.0)
+        + 0.5 * DOF * math.log(DOF / 2.0)
         - 0.5 * math.log(2.0 * np.pi)
-        - math.lgamma(dof / 2.0)
+        - math.lgamma(DOF / 2.0)
         - 0.5 * nc * nc
     )
-    expo = dof * np.log(s) - 0.5 * s * s * s2 + s * xl + logw
+    expo = DOF * np.log(s) - 0.5 * s * s * s2 + s * xl + logw
     m = np.max(expo)
     return const + m + math.log(float(np.sum(np.exp(expo - m))))
 
 
-def _nct_logpdf_scalar(x: float, dof: float, nc: float) -> float:
+def _nct_logpdf_scalar(x: float, nc: float) -> float:
     """Non-central t log density at one point via the even/odd series."""
-    s = math.hypot(x, math.sqrt(dof))  # sqrt(dof + x^2), overflow-safe
+    s = math.hypot(x, math.sqrt(DOF))  # sqrt(DOF + x^2), overflow-safe
     q = math.sqrt(2.0) * nc * (x / s)
     z = 0.25 * q * q
-    a1 = (dof + 1.0) / 2.0
-    a2 = (dof + 2.0) / 2.0
+    a1 = (DOF + 1.0) / 2.0
+    a2 = (DOF + 2.0) / 2.0
     if z > _Z_OVERFLOW:
-        return _nct_logpdf_quad(x, dof, nc)
+        return _nct_logpdf_quad(x, nc)
     even = math.gamma(a1)
     odd = math.gamma(a2) * q
     even_sum = even
@@ -122,19 +123,19 @@ def _nct_logpdf_scalar(x: float, dof: float, nc: float) -> float:
 
     bracket = even_sum + odd_sum
     if not math.isfinite(bracket) or bracket <= _CANCEL_FLOOR * even_sum:
-        return _nct_logpdf_quad(x, dof, nc)
+        return _nct_logpdf_quad(x, nc)
     return (
-        0.5 * dof * math.log(dof / 2.0)
+        0.5 * DOF * math.log(DOF / 2.0)
         - 0.5 * math.log(2.0 * np.pi)
-        - math.lgamma(dof / 2.0)
+        - math.lgamma(DOF / 2.0)
         - 0.5 * nc * nc
         + a1 * math.log(2.0)
-        - (dof + 1.0) * math.log(s)
+        - (DOF + 1.0) * math.log(s)
         + math.log(bracket)
     )
 
 
-def _nct_logpdf(x, dof: float, nc):
+def _nct_logpdf(x, nc):
     """Non-central t log density, broadcasting x against the non-centrality.
 
     Evaluated point by point: the series length adapts to each argument, and
@@ -151,7 +152,7 @@ def _nct_logpdf(x, dof: float, nc):
     flat_nc = nc_arr.ravel()
     flat_out = out.ravel()
     for i in range(flat_x.size):
-        flat_out[i] = _nct_logpdf_scalar(float(flat_x[i]), dof, float(flat_nc[i]))
+        flat_out[i] = _nct_logpdf_scalar(float(flat_x[i]), float(flat_nc[i]))
     return out
 
 
@@ -165,7 +166,7 @@ def log_phat(spec: ProposalSpec, y, xi):
     """
     xi = np.asarray(xi, dtype=float)
     if spec.kind == "central_t":
-        return _t_logpdf(y, DOF) + 0.0 * xi
+        return _t_logpdf(y) + 0.0 * xi
     if spec.kind == "shifted_t":
-        return _t_logpdf(y - xi, DOF)
-    return _nct_logpdf(y, DOF, xi)
+        return _t_logpdf(y - xi)
+    return _nct_logpdf(y, xi)

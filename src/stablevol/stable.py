@@ -29,7 +29,6 @@ __all__ = [
     "StableParams",
     "QuadratureError",
     "char_fn",
-    "sample_standard",
     "transform",
     "sample",
     "pdf_numeric",
@@ -124,19 +123,6 @@ def _cms(params: StableParams, u, w):
     return num / den * tail
 
 
-def sample_standard(alpha: float, beta: float, rng, size=None):
-    """Draw variates from SD(alpha, beta, 1, 0) by the CMS method.
-
-    ``rng`` must provide ``uniform`` and ``standard_exponential``
-    (``numpy.random.Generator`` does).  Returns an array of the requested
-    shape, and a numpy scalar or 0-d array for ``size=None`` or ``size=()``.
-    """
-    params = StableParams(alpha, beta, 1.0, 0.0)  # validates the ranges
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.standard_exponential(size)
-    return _cms(params, u, w)
-
-
 def transform(x, params: StableParams):
     """Map a standard SD(alpha, beta, 1, 0) variate to SD(alpha, beta, gamma, delta)."""
     g, d = params.gamma, params.delta
@@ -148,8 +134,15 @@ def transform(x, params: StableParams):
 
 
 def sample(params: StableParams, rng, size=None):
-    """Draw variates from SD(alpha, beta, gamma, delta), shaped as in ``sample_standard``."""
-    return transform(sample_standard(params.alpha, params.beta, rng, size), params)
+    """Draw variates from SD(alpha, beta, gamma, delta) by the CMS method.
+
+    ``rng`` must provide ``uniform`` and ``standard_exponential``
+    (``numpy.random.Generator`` does).  Returns an array of the requested
+    shape, and a numpy scalar or 0-d array for ``size=None`` or ``size=()``.
+    """
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+    w = rng.standard_exponential(size)
+    return transform(_cms(params, u, w), params)
 
 
 # ---------------------------------------------------------------------------

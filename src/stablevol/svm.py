@@ -7,7 +7,8 @@ State (log-volatility) and observation equations:
 
 with |phi| < 1 and h_0 drawn from the stationary law
 N(mu / (1 - phi), sigma_h^2 / (1 - phi^2)).  The state equation lives in
-``AR1State``, which the linear-Gaussian benchmark model shares.
+``AR1State``, which the linear-Gaussian benchmark model shares; its
+constructor rejects every parameter outside that stationary domain.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ __all__ = ["AR1State", "SvmParams", "Trajectory", "simulate"]
 
 @dataclass(frozen=True)
 class AR1State:
-    """Gaussian AR(1) state h_t = mu + phi h_{t-1} + sigma_h w_t.
+    """Stationary Gaussian AR(1) state h_t = mu + phi h_{t-1} + sigma_h w_t.
 
-    The stationary law is checked only where it is used, so a random walk
-    (phi = 1) is a valid state as long as it starts from an explicit prior.
+    Requires a finite mu, |phi| < 1 and 0 < sigma_h < inf, so the stationary
+    law of h_0 always exists.
     """
 
     mu: float
@@ -35,21 +36,19 @@ class AR1State:
     sigma_h: float
 
     def __post_init__(self) -> None:
-        if not self.sigma_h > 0.0:
-            raise ValueError(f"sigma_h must be > 0, got {self.sigma_h}")
-
-    def _require_stationary(self) -> None:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if not abs(self.phi) < 1.0:
             raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
+        if not 0.0 < self.sigma_h < math.inf:
+            raise ValueError(f"sigma_h must lie in (0, inf), got {self.sigma_h}")
 
     @property
     def stationary_mean(self) -> float:
-        self._require_stationary()
         return self.mu / (1.0 - self.phi)
 
     @property
     def stationary_var(self) -> float:
-        self._require_stationary()
         return self.sigma_h**2 / (1.0 - self.phi**2)
 
     def initial_sample(self, rng, size=None):
@@ -72,7 +71,6 @@ class SvmParams(AR1State):
     obs_noise: StableParams
 
     def __post_init__(self) -> None:
-        self._require_stationary()
         super().__post_init__()
         if self.obs_noise.delta != 0.0:
             raise ValueError("obs_noise must be centered (delta = 0)")

@@ -39,10 +39,10 @@ LOG_T2_AT_ONE = -1.6479184330021646
 # quadrature of the chi-square mixture representation (est. error ~3e-9).
 LOG_NCT_DOF2_NC15_AT_2 = -1.4713814406558208
 
-# Three-step Kalman recursion by hand (exact rationals) for mu=0, phi=1,
-# sigma_h=1, sigma_y=1, prior N(0, 1), observations (1, -1, 2).
-KALMAN3_MEANS = (2.0 / 3.0, -3.0 / 8.0, 23.0 / 21.0)
-KALMAN3_VARS = (2.0 / 3.0, 5.0 / 8.0, 13.0 / 21.0)
+# Three-step Kalman recursion by hand (exact rationals) for mu=0, phi=1/2,
+# sigma_h=1, sigma_y=1, stationary prior N(0, 4/3), observations (1, -1, 2).
+KALMAN3_MEANS = (4.0 / 7.0, -2.0 / 5.0, 31.0 / 32.0)
+KALMAN3_VARS = (4.0 / 7.0, 8.0 / 15.0, 17.0 / 32.0)
 
 # Stable density at x=1 for (alpha=1.75, beta=0.1, gamma=1, delta=0), from
 # adaptive quadrature of the inversion integral with an independent rule

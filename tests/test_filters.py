@@ -752,8 +752,8 @@ def test_smc_tracks_kalman_roughly_on_linear_gaussian_model():
 
 
 def test_kalman_three_step_hand_recursion():
-    lg = LinearGaussianParams(mu=0.0, phi=1.0, sigma_h=1.0, sigma_y=1.0)
-    means, variances = kalman_run(lg, [1.0, -1.0, 2.0], prior_mean=0.0, prior_var=1.0)
+    lg = LinearGaussianParams(mu=0.0, phi=0.5, sigma_h=1.0, sigma_y=1.0)
+    means, variances = kalman_run(lg, [1.0, -1.0, 2.0])
     assert np.allclose(means, KALMAN3_MEANS, atol=1e-12)
     assert np.allclose(variances, KALMAN3_VARS, atol=1e-12)
 
@@ -767,31 +767,25 @@ def test_kalman_perfect_observation_limit():
 
 
 def test_kalman_static_state_limit_is_shrinkage_path():
-    lg = LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=1e-9, sigma_y=0.5)
-    ys = np.ones(5)
-    means, _ = kalman_run(lg, ys, prior_mean=2.0, prior_var=1e-18)
-    expected = 2.0 * 0.9 ** np.arange(1, 6)
-    assert np.allclose(means, expected, atol=1e-6)
-
-
-def test_kalman_rejects_nonstationary_default_prior():
-    lg = LinearGaussianParams(mu=0.0, phi=1.0, sigma_h=1.0, sigma_y=1.0)
-    with pytest.raises(ValueError):
-        kalman_run(lg, [1.0, 2.0])
-
-
-def test_kalman_rejects_half_specified_prior():
-    with pytest.raises(ValueError):
-        kalman_run(LG, [1.0], prior_mean=0.0)
-    with pytest.raises(ValueError):
-        kalman_run(LG, [1.0], prior_var=1.0)
+    # A near-static state with stationary mean 0.2 / (1 - 0.9) = 2 and prior
+    # variance ~5e-18 shrinks every observation fully onto that mean.
+    lg = LinearGaussianParams(mu=0.2, phi=0.9, sigma_h=1e-9, sigma_y=0.5)
+    means, _ = kalman_run(lg, np.ones(5))
+    assert np.allclose(means, 2.0, atol=1e-6)
 
 
 def test_linear_gaussian_validation_and_scale():
-    with pytest.raises(ValueError):
-        LinearGaussianParams(0.0, 0.9, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        LinearGaussianParams(0.0, 0.9, 1.0, 0.0)
+    for params in [
+        (0.0, 0.9, 0.0, 1.0),
+        (0.0, 0.9, math.inf, 1.0),
+        (0.0, 0.9, 1.0, 0.0),
+        (0.0, 0.9, 1.0, math.inf),
+        (math.nan, 0.9, 0.5, 0.5),
+        (math.inf, 0.9, 0.5, 0.5),
+        (0.0, 1.0, 1.0, 1.0),
+    ]:
+        with pytest.raises(ValueError):
+            LinearGaussianParams(*params)
     assert LG.observation_scale(3.7) == pytest.approx(1.0)
     assert np.allclose(LG.observation_scale(np.array([-1.0, 2.0])), 1.0)
 

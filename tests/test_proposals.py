@@ -61,6 +61,36 @@ def test_central_t_ignores_state_summary():
     assert np.allclose(vals, vals[0], atol=0.0)
 
 
+# Exact bits of log_phat (float.hex), recorded from the implementation, so any
+# change to the constants, the series or the quadrature fallback shows here.
+# The last two non-central points take the quadrature fallback.
+LOG_PHAT_BITS = (
+    ("central_t", 0.7, 0.3, "-0x1.5e510a214e119p+0"),
+    ("central_t", -12.5, 4.0, "-0x1.e62930dd3b663p+2"),
+    ("shifted_t", 1.3, -0.4, "-0x1.30bdad14f4379p+1"),
+    ("shifted_t", 25.0, -3.0, "-0x1.400390a81fc4ap+3"),
+    ("noncentral_t", 2.0, 1.5, "-0x1.78ac743f8f1aap+0"),
+    ("noncentral_t", -0.8, 0.6, "-0x1.0b51a99baefaep+1"),
+    ("noncentral_t", 3.0, -2.0, "-0x1.f7faabab2c939p+2"),
+    ("noncentral_t", -2.0, 30.0, "-0x1.cdd35ad59ebdap+8"),
+    ("noncentral_t", 40.0, -40.0, "-0x1.9ad5b79e8da88p+9"),
+)
+
+
+def test_log_phat_pinned_bits(monkeypatch):
+    quad_calls = []
+    quad = proposals_mod._nct_logpdf_quad
+
+    def counted_quad(*args):
+        quad_calls.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(proposals_mod, "_nct_logpdf_quad", counted_quad)
+    for kind, y, xi, bits in LOG_PHAT_BITS:
+        assert float(log_phat(ProposalSpec(kind), y, xi)).hex() == bits, (kind, y, xi)
+    assert len(quad_calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Distributional properties
 # ---------------------------------------------------------------------------

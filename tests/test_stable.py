@@ -17,7 +17,6 @@ from stablevol.stable import (
     char_fn,
     pdf_numeric,
     sample,
-    sample_standard,
     transform,
 )
 
@@ -112,17 +111,17 @@ def test_char_fn_conjugate_symmetry_and_bound(params):
 
 def test_sampler_gaussian_branch_at_zero_angle():
     rng = ScriptedRng(uniform_values=[0.0], exponential_values=[1.0])
-    assert sample_standard(2.0, 0.0, rng) == pytest.approx(0.0, abs=1e-15)
+    assert sample(StableParams(2.0, 0.0, 1.0, 0.0), rng) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sampler_cauchy_branch_is_tangent():
     rng = ScriptedRng(uniform_values=[math.pi / 4], exponential_values=[17.3])
-    assert sample_standard(1.0, 0.0, rng) == pytest.approx(1.0, abs=1e-12)
+    assert sample(StableParams(1.0, 0.0, 1.0, 0.0), rng) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampler_skewed_half_stable_frozen_value():
     rng = ScriptedRng(uniform_values=[0.3], exponential_values=[1.2])
-    assert sample_standard(0.5, 1.0, rng) == pytest.approx(
+    assert sample(StableParams(0.5, 1.0, 1.0, 0.0), rng) == pytest.approx(
         CMS_ALPHA_HALF_VALUE, abs=1e-12
     )
 
@@ -130,8 +129,8 @@ def test_sampler_skewed_half_stable_frozen_value():
 def test_sampler_guard_band_routes_to_alpha_one_branch():
     rng_a = ScriptedRng(uniform_values=[0.4], exponential_values=[0.9])
     rng_b = ScriptedRng(uniform_values=[0.4], exponential_values=[0.9])
-    near_one = sample_standard(1.0 + 1e-12, 0.3, rng_a)
-    at_one = sample_standard(1.0, 0.3, rng_b)
+    near_one = sample(StableParams(1.0 + 1e-12, 0.3, 1.0, 0.0), rng_a)
+    at_one = sample(StableParams(1.0, 0.3, 1.0, 0.0), rng_b)
     assert near_one == at_one
 
 
@@ -233,11 +232,6 @@ def test_pdf_normal_at_zero():
 def test_pdf_cross_checked_against_independent_quadrature():
     val = pdf_numeric(StableParams(1.75, 0.1, 1.0, 0.0), 1.0)
     assert val == pytest.approx(PDF_175_01_AT_1, abs=10e-8)
-
-
-def test_pdf_rejects_zero_scale():
-    with pytest.raises(ValueError):
-        pdf_numeric(StableParams(1.5, 0.0, 0.0, 0.0), 0.0)
 
 
 @pytest.mark.parametrize(

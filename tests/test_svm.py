@@ -36,11 +36,18 @@ def test_rejects_nonstationary_persistence():
         make_params(phi=1.0)
     with pytest.raises(ValueError):
         make_params(phi=-1.01)
+    # a non-finite mu leaves the stationary mean undefined
+    with pytest.raises(ValueError):
+        make_params(mu=math.nan)
+    with pytest.raises(ValueError):
+        make_params(mu=math.inf)
 
 
 def test_rejects_bad_noise_scales():
     with pytest.raises(ValueError):
         make_params(sigma_h=0.0)
+    with pytest.raises(ValueError):
+        make_params(sigma_h=math.inf)
     with pytest.raises(ValueError):
         make_params(sigma_v=0.0)
 
