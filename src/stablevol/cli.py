@@ -1,8 +1,10 @@
 """Command-line front end: simulate data, filter it, or run a full study.
 
 Exit codes: 0 on success, 2 on configuration/validation errors (including
-non-finite observations or model parameters), 3 on numerical failures
-(including a filter run in which any step was a degenerate reset).
+non-finite observations or model parameters, a model whose stationary mean or
+variance is not finite, and a config that repeats a key), 3 on numerical
+failures (including an overflow and a filter run in which any step was a
+degenerate reset).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .experiment import (
     load_model_config,
     read_data_csv,
     run_study,
-    simulate,
     write_boxplot_csv,
     write_data_csv,
     write_filtered_csv,
@@ -28,8 +29,14 @@ from .experiment import (
 from .filters import DegenerateCloudError, FilterConfig
 from .kernels import KernelSpec
 from .proposals import ProposalSpec, SeriesConvergenceError
+from .svm import simulate
 
-_NUMERICAL_ERRORS = (SeriesConvergenceError, DegenerateCloudError, FloatingPointError)
+_NUMERICAL_ERRORS = (
+    SeriesConvergenceError,
+    DegenerateCloudError,
+    FloatingPointError,
+    OverflowError,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -305,11 +305,21 @@ def sensitivity_models(sigma_h: float, sigma_v: float) -> tuple:
 _CONFIG_KEYS = ("mu", "phi", "sigma_h", "alpha", "beta", "sigma_v")
 
 
+def _unique_keys(pairs) -> dict:
+    """Build a JSON object, rejecting a key that appears twice in it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"config repeats key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_model_config(path) -> SvmParams:
     """Read a model-parameter JSON file ({mu, phi, sigma_h, alpha, beta, sigma_v})."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -380,6 +380,7 @@ class LinearGaussianParams(AR1State):
         super().__post_init__()
         if not 0.0 < self.sigma_y < math.inf:
             raise ValueError(f"sigma_y must lie in (0, inf), got {self.sigma_y}")
+        self._require_finite("sigma_y**2", lambda: self.sigma_y**2)
 
     def observe_sample(self, h, rng):
         return np.asarray(h, dtype=float) + self.sigma_y * rng.standard_normal(np.shape(h))

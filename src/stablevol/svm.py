@@ -28,7 +28,8 @@ class AR1State:
     """Stationary Gaussian AR(1) state h_t = mu + phi h_{t-1} + sigma_h w_t.
 
     Requires a finite mu, |phi| < 1 and 0 < sigma_h < inf, so the stationary
-    law of h_0 always exists.
+    law of h_0 always exists, and a finite stationary mean and variance, so
+    that law can be represented in floating point.
     """
 
     mu: float
@@ -42,6 +43,18 @@ class AR1State:
             raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
         if not 0.0 < self.sigma_h < math.inf:
             raise ValueError(f"sigma_h must lie in (0, inf), got {self.sigma_h}")
+        self._require_finite("stationary mean", lambda: self.stationary_mean)
+        self._require_finite("stationary variance", lambda: self.stationary_var)
+
+    @staticmethod
+    def _require_finite(name, compute) -> None:
+        """Raise ``ValueError`` unless ``compute()`` returns a finite value without overflow."""
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def stationary_mean(self) -> float:

@@ -161,6 +161,31 @@ def test_non_finite_config_value_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        # the stationary mean mu / (1 - phi) overflows: rejected as a config error
+        (dict(mu=1e308, phi=0.5), EXIT_CONFIG),
+        # a finite stationary law whose draws overflow exp(h / 2)
+        (dict(sigma_h=1000.0), EXIT_NUMERICAL),
+    ],
+)
+def test_overflowing_model_exit_code(tmp_path, config_path, overrides, expected):
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **overrides}))
+    out = tmp_path / "d.csv"
+    code = main(
+        [
+            "simulate",
+            "--config", str(config_path),
+            "--horizon", "30",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == expected
+    assert not out.exists()
+
+
 def test_apf_without_bandwidth_is_config_error(tmp_path, config_path):
     data = run_simulate(tmp_path, config_path, horizon=5)
     code = main(

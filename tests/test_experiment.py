@@ -280,6 +280,10 @@ def test_load_model_config_rejects_bad_inputs(tmp_path):
         load_model_config(path)
     with pytest.raises(ValueError):
         load_model_config(write_config(tmp_path, extra_key=1.0))
+    # a repeated key is rejected rather than resolved to its last value
+    path.write_text(write_config(tmp_path).read_text()[:-1] + ', "mu": 1}')
+    with pytest.raises(ValueError, match="repeats"):
+        load_model_config(path)
     cfg = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1)
     path.write_text(json.dumps(cfg))  # sigma_v missing
     with pytest.raises(ValueError):

@@ -790,6 +790,9 @@ def test_linear_gaussian_validation_and_scale():
         (math.nan, 0.9, 0.5, 0.5),
         (math.inf, 0.9, 0.5, 0.5),
         (0.0, 1.0, 1.0, 1.0),
+        (1e308, 0.5, 0.5, 0.5),
+        (0.0, 0.9, 1e160, 0.5),
+        (0.0, 0.9, 0.5, 1e160),
     ]:
         with pytest.raises(ValueError):
             LinearGaussianParams(*params)
@@ -825,6 +828,26 @@ def test_shrinking_bandwidth_does_not_hurt_kalman_agreement():
         assert float(np.mean(diff)) <= slack, (
             f"eps {wide}->{narrow} worsened the Kalman gap by {np.mean(diff):.4f}"
         )
+
+
+@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
+def test_apf_means_match_inflated_kalman(proposal):
+    # With a Gaussian kernel the ABC likelihood on this model is exactly
+    # N(y; x, sigma_y^2 + eps^2), so at every eps the ABC-APF targets the
+    # Kalman filter whose observation noise is inflated to that scale.
+    eps = 0.5
+    inflated = LinearGaussianParams(LG.mu, LG.phi, LG.sigma_h, math.sqrt(LG.sigma_y**2 + eps**2))
+    cfg = FilterConfig(
+        n_particles=5000,
+        kernel=KernelSpec("gaussian", eps),
+        proposal=ProposalSpec(proposal),
+    )
+    for s in range(2):
+        _, ys = LG.simulate(200, 4000 + s)
+        out = abc_apf_run(ys, LG, cfg, np.random.default_rng(5000 + s))
+        gap = float(np.mean(np.abs(out.filtered_mean - kalman_run(inflated, ys)[0])))
+        plain = float(np.mean(np.abs(out.filtered_mean - kalman_run(LG, ys)[0])))
+        assert gap < 0.025 and gap < plain / 4, f"record {s}: gap {gap:.4f}, plain {plain:.4f}"
 
 
 def test_config_validation():

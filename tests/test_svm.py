@@ -41,6 +41,9 @@ def test_rejects_nonstationary_persistence():
         make_params(mu=math.nan)
     with pytest.raises(ValueError):
         make_params(mu=math.inf)
+    # a finite mu whose stationary mean mu / (1 - phi) overflows
+    with pytest.raises(ValueError):
+        make_params(mu=1e308, phi=0.5)
 
 
 def test_rejects_bad_noise_scales():
@@ -48,6 +51,9 @@ def test_rejects_bad_noise_scales():
         make_params(sigma_h=0.0)
     with pytest.raises(ValueError):
         make_params(sigma_h=math.inf)
+    # a finite sigma_h whose stationary variance overflows (sigma_h**2 raises)
+    with pytest.raises(ValueError):
+        make_params(sigma_h=1e160)
     with pytest.raises(ValueError):
         make_params(sigma_v=0.0)
 
