@@ -121,7 +121,8 @@ def simulate(params, horizon: int, seed) -> Trajectory:
     """Simulate a trajectory of the given horizon, deterministically per seed.
 
     ``params`` is any state-space model with ``initial_sample``,
-    ``transition_sample`` and ``observe_sample``.
+    ``transition_sample`` and ``observe_sample``.  Raises ``OverflowError``
+    if any observation is not finite.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -132,4 +133,7 @@ def simulate(params, horizon: int, seed) -> Trajectory:
     for t in range(1, horizon + 1):
         h[t] = params.transition_sample(h[t - 1], rng)
         y[t - 1] = params.observe_sample(h[t], rng)
+    overflowed = np.count_nonzero(~np.isfinite(y))
+    if overflowed:
+        raise OverflowError(f"{overflowed} of {horizon} simulated observations overflow")
     return Trajectory(h=h, y=y)

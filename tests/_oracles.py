@@ -19,7 +19,9 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from stablevol.stable import StableParams, _cdf_tail, _tail_switch_radius, cdf_numeric
+from stablevol.stable import StableParams
+
+from _inversion import _cdf_tail, _tail_switch_radius, cdf_numeric
 
 # --- frozen hand-derived values -------------------------------------------
 

@@ -168,6 +168,8 @@ def test_non_finite_config_value_is_config_error(tmp_path):
         (dict(mu=1e308, phi=0.5), EXIT_CONFIG),
         # a finite stationary law whose draws overflow exp(h / 2)
         (dict(sigma_h=1000.0), EXIT_NUMERICAL),
+        # exp(h / 2) stays finite but two of the 2000 observations exp(h / 2) v do not
+        (dict(mu=70.6), EXIT_NUMERICAL),
     ],
 )
 def test_overflowing_model_exit_code(tmp_path, config_path, overrides, expected):
@@ -177,7 +179,7 @@ def test_overflowing_model_exit_code(tmp_path, config_path, overrides, expected)
         [
             "simulate",
             "--config", str(config_path),
-            "--horizon", "30",
+            "--horizon", "2000",
             "--seed", "1",
             "--out", str(out),
         ]

@@ -4,18 +4,30 @@ and every demo's imports and definitions load."""
 from __future__ import annotations
 
 import runpy
+import sys
 from pathlib import Path
 
 import stablevol
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 
 
-def test_public_names_resolve_and_demos_load():
+def _under_tests(path) -> bool:
+    return path is not None and TESTS in Path(path).resolve().parents
+
+
+def test_public_names_resolve_and_demos_load(monkeypatch):
     for name in ("experiment", "filters", "kernels", "proposals", "stable", "svm"):
         module = getattr(stablevol, name)
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"stablevol.{name}.__all__ lists undefined names {missing}"
+    # The test run puts tests/ on sys.path and imports its helpers; a user
+    # running a demo has neither, so a demo importing them must fail here.
+    monkeypatch.setattr(sys, "path", [p for p in sys.path if Path(p).resolve() != TESTS])
+    for name, module in list(sys.modules.items()):
+        if _under_tests(getattr(module, "__file__", None)):
+            monkeypatch.delitem(sys.modules, name)
     assert DEMOS
     for path in DEMOS:
         # run_name keeps the demo's `if __name__ == "__main__"` block from running.

@@ -10,16 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stablevol.stable import (
-    StableParams,
-    _tail_switch_radius,
-    cdf_numeric,
-    char_fn,
-    pdf_numeric,
-    sample,
-    transform,
-)
+from stablevol.stable import StableParams, sample, transform
 
+from _inversion import _tail_switch_radius, cdf_numeric, char_fn, pdf_numeric
 from _oracles import (
     CMS_ALPHA_HALF_VALUE,
     PDF_175_01_AT_1,
