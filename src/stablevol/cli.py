@@ -168,7 +168,10 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        return handlers[args.command](args)
+        # An overflow surfaces as an inf that the handlers reject with an
+        # exit code of their own, so numpy's warning would only repeat it.
+        with np.errstate(over="ignore"):
+            return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,10 +16,15 @@ quadrature of the defining scale-mixture integral
 
     f(x; nu, lam) = Int_0^inf s phi(s x - lam) f_S(s) ds,
     f_S(s) = 2 (nu/2)^{nu/2} / Gamma(nu/2) s^{nu-1} e^{-nu s^2 / 2}.
+
+The 96-node rule is built on the first fallback, not at import: the central
+and shifted families never reach it, and building it loads
+``numpy.polynomial`` and runs an eigen-solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +45,13 @@ _Z_OVERFLOW = 600.0
 # too many digits and the quadrature fallback is used instead.
 _CANCEL_FLOOR = 1e-8
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+@functools.cache
+def _quad_rule():
+    """The 96-node Gauss-Legendre rule (nodes, weights) on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(96)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -82,8 +93,9 @@ def _nct_logpdf_quad(x: float, nc: float) -> float:
     width = 1.0 / math.sqrt(DOF / mode**2 + s2)
     lo = max(mode - 12.0 * width, 0.0)
     hi = mode + 12.0 * width
-    s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _QUAD_NODES
-    logw = np.log(0.5 * (hi - lo) * _QUAD_WEIGHTS)
+    nodes, weights = _quad_rule()
+    s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+    logw = np.log(0.5 * (hi - lo) * weights)
     const = (
         math.log(2.0)
         + 0.5 * DOF * math.log(DOF / 2.0)

@@ -1,15 +1,22 @@
 """The import surface: each public name resolves in the module that lists it,
-and every demo's imports and definitions load."""
+every demo's imports and definitions load, and importing the package builds
+no quadrature rule."""
 
 from __future__ import annotations
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import stablevol
 
 TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 
 
@@ -33,3 +40,13 @@ def test_public_names_resolve_and_demos_load(monkeypatch):
         # run_name keeps the demo's `if __name__ == "__main__"` block from running.
         namespace = runpy.run_path(str(path), run_name="demo")
         assert callable(namespace["main"]), path.name
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.polynomial itself"
+)
+def test_import_loads_no_polynomial_package():
+    # A fresh interpreter: the test helpers import numpy.polynomial themselves.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, stablevol; assert 'numpy.polynomial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
