@@ -5,10 +5,11 @@ model's stationary law, applies a step function once per observation and
 records the weighted mean, the ESS and the resample/degeneracy counters.
 Both steps pick ancestors with ``_select``: it applies the resampling policy
 to a selection cloud and either resamples once or keeps the identity
-ancestry.  A ``ParticleCloud`` is frozen and computes its plain weights and
-its ESS at most once, so the recorded ESS, the next step's policy test, the
-filtered mean and the resampling CDF share those values.  The
-filters differ in the selection law and in the weights:
+ancestry.  A ``ParticleCloud``'s plain weights and ESS are
+``functools.cached_property`` values: each is computed on first read (the only
+read that takes the lock) and kept in the instance dict, so the recorded ESS,
+the next step's policy test, the filtered mean and the resampling CDF share
+them.  The filters differ in the selection law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
   filter: the previous cloud is tilted by a cheap proposal density
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,31 +77,26 @@ class DegenerateCloudError(RuntimeError):
 class ParticleCloud:
     """States plus normalized log weights at time index t.
 
-    Frozen, so the plain weights ``exp(log_weights)`` and the ESS, each
-    computed on first use and kept, always describe the cloud's own fields.
+    Frozen, so its plain weights ``exp(log_weights)`` and ESS always describe
+    its own fields.  Both are ``functools.cached_property`` values: computed on
+    first read, the only read that takes the lock, and kept in the instance dict.
     """
 
     states: np.ndarray
     log_weights: np.ndarray
     t: int = 0
-    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _ess: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        if self._weights is None:
-            object.__setattr__(self, "_weights", np.exp(self.log_weights))
-        return self._weights
+        return np.exp(self.log_weights)
 
-    @property
+    @cached_property
     def ess(self) -> float:
         """``ess(log_weights)``, through the module-level function."""
-        if self._ess is None:
-            object.__setattr__(self, "_ess", ess(self.log_weights))
-        return self._ess
+        return ess(self.log_weights)
 
 
 def normalize(log_weights) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import stablevol.filters as filters_mod
 from stablevol.cli import _NUMERICAL_ERRORS
+from stablevol.experiment import reference_model
 from stablevol.filters import (
     DegenerateCloudError,
     FilterConfig,
@@ -591,10 +592,9 @@ def test_run_pinned_bytes():
         assert out.degeneracy_count == 0
 
 
-def test_run_computes_each_cloud_ess_once(monkeypatch):
-    # Under the central t the selection law is the carried cloud itself, so
-    # its ESS is computed for the prior cloud and then once per step, where
-    # the recorded ESS and the next step's policy test share it.
+@pytest.fixture
+def ess_calls(monkeypatch):
+    """A list that grows by one per call of the module-level ``filters.ess``."""
     calls = []
     orig = filters_mod.ess
 
@@ -603,6 +603,13 @@ def test_run_computes_each_cloud_ess_once(monkeypatch):
         return orig(log_weights)
 
     monkeypatch.setattr(filters_mod, "ess", spy)
+    return calls
+
+
+def test_run_computes_each_cloud_ess_once(ess_calls):
+    # Under the central t the selection law is the carried cloud itself, so
+    # its ESS is computed for the prior cloud and then once per step, where
+    # the recorded ESS and the next step's policy test share it.
     ys = LG.simulate(30, 3401)[1]
     config = FilterConfig(
         64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
@@ -610,7 +617,46 @@ def test_run_computes_each_cloud_ess_once(monkeypatch):
     )
     out = abc_apf_run(ys, LG, config, np.random.default_rng(3402))
     assert 0 < out.resample_count < len(ys)
-    assert len(calls) == len(ys) + 1
+    assert len(ess_calls) == len(ys) + 1
+
+
+@pytest.mark.parametrize(
+    "run, proposal, policy, expected",
+    [
+        # every_step reads only the recorded ESS, once per step.  Under
+        # ess_threshold the central t tests the carried cloud, whose ESS the
+        # previous step recorded (plus the prior cloud's), while the shifted t
+        # tests a freshly tilted cloud each step.  ABC-SMC tests the carried
+        # cloud, so each cloud's ESS is computed once under either policy.
+        (abc_apf_run, "central_t", "every_step", 30),
+        (abc_apf_run, "central_t", "ess_threshold", 31),
+        (abc_apf_run, "shifted_t", "every_step", 30),
+        (abc_apf_run, "shifted_t", "ess_threshold", 60),
+        (abc_smc_run, None, "every_step", 30),
+        (abc_smc_run, None, "ess_threshold", 30),
+    ],
+)
+def test_ess_call_counts_per_run(ess_calls, run, proposal, policy, expected):
+    model = reference_model()
+    ys = simulate(model, 30, 7).y
+    if run is abc_smc_run:
+        config = FilterConfig(
+            128, KernelSpec("uniform", None),
+            resample_policy=policy, resample_scheme="systematic",
+        )
+    else:
+        config = FilterConfig(
+            128, KernelSpec("gaussian", 0.25), ProposalSpec(proposal),
+            resample_policy=policy, resample_scheme="systematic",
+        )
+    run(ys, model, config, np.random.default_rng(7))
+    assert len(ess_calls) == expected
+
+    cloud = ParticleCloud(np.arange(4.0), normalize(np.arange(4.0)))
+    ess_calls.clear()
+    assert cloud.weights is cloud.weights
+    assert cloud.ess is cloud.ess
+    assert len(ess_calls) == 1
 
 
 @pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
