@@ -2,15 +2,18 @@
 
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters, a model whose stationary mean or
-variance is not finite, and a config that repeats a key), 3 on numerical
-failures (including an overflow and a filter run in which any step was a
-degenerate reset).
+variance is not finite, a config that repeats a key, a ``filter`` flag that
+belongs to the other ``--algo`` and an ``experiment`` output directory that
+does not exist), 3 on numerical failures (including an overflow and a filter
+run in which any step was a degenerate reset).  Exit 2 or 3 writes no output
+file and prints one ``error: `` or ``numerical failure: `` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -61,11 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     filt.add_argument(
         "--proposal",
         choices=["central-t", "shifted-t", "noncentral-t"],
-        default="shifted-t",
+        help="abc-apf only",
     )
-    filt.add_argument("--kernel", choices=["gaussian", "uniform"], default="gaussian")
-    filt.add_argument("--eps", type=float, default=None, metavar="E")
-    filt.add_argument("--smc-percentile", type=float, default=0.25, metavar="P")
+    filt.add_argument(
+        "--kernel", choices=["gaussian", "uniform"], help="abc-apf only (default gaussian)"
+    )
+    filt.add_argument("--eps", type=float, metavar="E", help="abc-apf only, required")
+    filt.add_argument("--smc-percentile", type=float, metavar="P", help="abc-smc only")
     filt.add_argument("--particles", type=int, default=5000, metavar="N")
     filt.add_argument(
         "--resample",
@@ -101,22 +106,38 @@ def _parse_policy(text: str):
     raise ValueError(f"--resample must be 'every' or 'ess:N0', got {text!r}")
 
 
+# The options each --algo does not read; the parser leaves them None when absent.
+_FOREIGN_OPTIONS = {"abc-apf": ("smc_percentile",), "abc-smc": ("eps", "kernel", "proposal")}
+
+
 def _filter_config(args) -> FilterConfig:
     policy, threshold = _parse_policy(args.resample)
+    foreign = [
+        "--" + name.replace("_", "-")
+        for name in _FOREIGN_OPTIONS[args.algo]
+        if getattr(args, name) is not None
+    ]
+    if foreign:
+        raise ValueError(f"{args.algo} does not take {', '.join(foreign)}")
     if args.algo == "abc-apf":
         if args.eps is None:
             raise ValueError("abc-apf requires --eps")
-        kernel = KernelSpec(args.kernel, args.eps)
+        kernel = KernelSpec(args.kernel or "gaussian", args.eps)
     else:
         kernel = KernelSpec("uniform", None)
+    # A flag left out keeps FilterConfig's default.
+    given = {}
+    if args.proposal is not None:
+        given["proposal"] = ProposalSpec(args.proposal.replace("-", "_"))
+    if args.smc_percentile is not None:
+        given["smc_percentile"] = args.smc_percentile
     return FilterConfig(
         n_particles=args.particles,
         kernel=kernel,
-        proposal=ProposalSpec(args.proposal.replace("-", "_")),
         resample_policy=policy,
         resample_threshold=threshold,
-        smc_percentile=args.smc_percentile,
         resample_scheme=args.scheme,
+        **given,
     )
 
 
@@ -145,6 +166,11 @@ def _cmd_filter(args) -> int:
 
 def _cmd_experiment(args) -> int:
     model = load_model_config(args.config)
+    for path in (args.out, args.boxplot_out):
+        # Checked before the study runs, so a bad path costs no replicate
+        # and leaves no partial output behind.
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"the directory of {path} does not exist")
     spec = StudySpec(
         model=model,
         horizon=args.horizon,

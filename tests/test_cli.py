@@ -1,4 +1,9 @@
-"""End-to-end tests of the command-line interface."""
+"""End-to-end tests of the command-line interface.
+
+Every failing command goes through ``Cli.fails``, which checks the whole
+failure contract: the exit code, no file left behind, and exactly one stderr
+line with the code's prefix.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,74 +22,95 @@ from stablevol.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stablevol.experiment import read_data_csv
 from stablevol.proposals import SeriesConvergenceError
 
+MODEL = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
+
+# The flags each command gets unless a test overrides them; None drops a flag.
+DEFAULTS = {
+    "simulate": dict(horizon=5, seed=1),
+    "filter": dict(algo="abc-apf", eps=0.25, particles=64, seed=1),
+    "experiment": dict(replicates=1, seed=1, horizon=5, particles=50),
+}
+
+PREFIX = {EXIT_CONFIG: "error: ", EXIT_NUMERICAL: "numerical failure: "}
+
+
+class Cli:
+    """Runs ``main`` on one model config, data file and output in a test's directory."""
+
+    def __init__(self, tmp_path, capsys):
+        self.dir = tmp_path
+        self.config = tmp_path / "model.json"
+        self.data = tmp_path / "data.csv"
+        self.out = tmp_path / "out.csv"
+        self.capsys = capsys
+        self.model()
+
+    def model(self, **overrides):
+        self.config.write_text(json.dumps({**MODEL, **overrides}))
+
+    def argv(self, command, **flags):
+        flags = {"config": self.config, **DEFAULTS[command], "out": self.out, **flags}
+        if command == "filter":
+            flags.setdefault("data", self.data)
+        return [command] + [
+            part
+            for name, value in flags.items()
+            if value is not None
+            for part in (f"--{name.replace('_', '-')}", str(value))
+        ]
+
+    def simulate(self, **flags):
+        flags = {"seed": 11, "out": self.data, **flags}
+        assert main(self.argv("simulate", **flags)) == EXIT_OK
+
+    def fails(self, code, command, fragment=None, **flags):
+        """Run ``command`` with RuntimeWarnings raised as errors and check that
+        it exits ``code``, writes no file and prints one prefixed stderr line
+        (holding ``fragment`` when one is given)."""
+        before = set(self.dir.rglob("*"))
+        self.capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(self.argv(command, **flags)) == code
+        assert set(self.dir.rglob("*")) == before
+        err = self.capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(PREFIX[code]), err
+        if fragment is not None:
+            assert fragment in err, err
+
 
 @pytest.fixture()
-def config_path(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text(
-        json.dumps(
-            dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
-        )
-    )
-    return path
+def cli(tmp_path, capsys):
+    return Cli(tmp_path, capsys)
 
 
-def run_simulate(tmp_path, config_path, horizon=30, seed=11):
-    data = tmp_path / "data.csv"
-    code = main(
-        [
-            "simulate",
-            "--config", str(config_path),
-            "--horizon", str(horizon),
-            "--seed", str(seed),
-            "--out", str(data),
-        ]
-    )
-    assert code == EXIT_OK
-    return data
-
-
-def test_simulate_writes_readable_data(tmp_path, config_path):
-    data = run_simulate(tmp_path, config_path)
-    traj = read_data_csv(data)
+def test_simulate_writes_readable_data(cli):
+    cli.simulate(horizon=30)
+    traj = read_data_csv(cli.data)
     assert traj.horizon == 30
     assert np.all(np.isfinite(traj.h))
 
 
-def test_simulate_deterministic_per_seed(tmp_path, config_path):
-    a = run_simulate(tmp_path, config_path, seed=5)
-    content_a = a.read_text()
-    b_dir = tmp_path / "again"
-    b_dir.mkdir()
-    b = run_simulate(b_dir, config_path, seed=5)
-    assert b.read_text() == content_a
+def test_simulate_deterministic_per_seed(cli):
+    again = cli.dir / "again.csv"
+    cli.simulate(horizon=30, seed=5)
+    cli.simulate(horizon=30, seed=5, out=again)
+    assert again.read_text() == cli.data.read_text()
 
 
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--algo", "abc-apf", "--eps", "0.25"],
-        ["--algo", "abc-apf", "--eps", "0.5", "--proposal", "central-t", "--scheme", "systematic"],
-        ["--algo", "abc-apf", "--eps", "0.5", "--resample", "ess:25"],
-        ["--algo", "abc-smc", "--smc-percentile", "0.5"],
+        dict(eps=0.25),
+        dict(eps=0.5, proposal="central-t", scheme="systematic"),
+        dict(eps=0.5, resample="ess:25"),
+        dict(algo="abc-smc", eps=None, smc_percentile=0.5),
     ],
 )
-def test_filter_produces_estimates(tmp_path, config_path, extra):
-    data = run_simulate(tmp_path, config_path)
-    out = tmp_path / "filtered.csv"
-    code = main(
-        [
-            "filter",
-            *extra,
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "3",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_OK
-    rows = list(csv.reader(out.open()))
+def test_filter_produces_estimates(cli, extra):
+    cli.simulate(horizon=30)
+    assert main(cli.argv("filter", seed=3, **extra)) == EXIT_OK
+    rows = list(csv.reader(cli.out.open()))
     assert rows[0] == ["t", "h_est", "ess"]
     assert len(rows) == 31
     for row in rows[1:]:
@@ -91,74 +118,34 @@ def test_filter_produces_estimates(tmp_path, config_path, extra):
         assert 1.0 - 1e-9 <= float(row[2]) <= 64.0 + 1e-9
 
 
-def test_experiment_writes_summary_and_boxplot(tmp_path, config_path):
-    summary = tmp_path / "summary.csv"
-    box = tmp_path / "box.csv"
-    code = main(
-        [
-            "experiment",
-            "--config", str(config_path),
-            "--replicates", "2",
-            "--seed", "99",
-            "--horizon", "10",
-            "--particles", "50",
-            "--out", str(summary),
-            "--boxplot-out", str(box),
-        ]
-    )
-    assert code == EXIT_OK
-    rows = list(csv.reader(summary.open()))
+def test_experiment_writes_summary_and_boxplot(cli):
+    box = cli.dir / "box.csv"
+    flags = dict(replicates=2, seed=99, horizon=10, boxplot_out=box)
+    assert main(cli.argv("experiment", **flags)) == EXIT_OK
+    rows = list(csv.reader(cli.out.open()))
     # 15 grid cells x (2 replicates + 4 aggregate rows) + header
     assert len(rows) == 1 + 15 * 6
     box_rows = list(csv.reader(box.open()))
     assert len(box_rows) == 1 + 15 * 2 * 3
 
 
-def test_missing_config_is_config_error(tmp_path):
-    code = main(
-        [
-            "simulate",
-            "--config", str(tmp_path / "nope.json"),
-            "--horizon", "5",
-            "--seed", "1",
-            "--out", str(tmp_path / "d.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+# ---------------------------------------------------------------------------
+# Failures: one named case per cause, each checked by ``Cli.fails``
+# ---------------------------------------------------------------------------
 
 
-def test_invalid_config_json_is_config_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    code = main(
-        [
-            "simulate",
-            "--config", str(bad),
-            "--horizon", "5",
-            "--seed", "1",
-            "--out", str(tmp_path / "d.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+def test_missing_config_is_config_error(cli):
+    cli.fails(EXIT_CONFIG, "simulate", "No such file", config=cli.dir / "nope.json")
 
 
-def test_non_finite_config_value_is_config_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"mu": NaN, "phi": 0.95, "sigma_h": 0.6, "alpha": 1.75, "beta": 0.1, "sigma_v": 0.8}'
-    )
-    out = tmp_path / "d.csv"
-    code = main(
-        [
-            "simulate",
-            "--config", str(bad),
-            "--horizon", "5",
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_CONFIG
-    assert not out.exists()
+def test_invalid_config_json_is_config_error(cli):
+    cli.config.write_text("{broken")
+    cli.fails(EXIT_CONFIG, "simulate", "not valid JSON")
+
+
+def test_non_finite_config_value_is_config_error(cli):
+    cli.model(mu=float("nan"))
+    cli.fails(EXIT_CONFIG, "simulate", "'mu' must be finite")
 
 
 @pytest.mark.parametrize(
@@ -172,83 +159,50 @@ def test_non_finite_config_value_is_config_error(tmp_path):
         (dict(mu=70.6), EXIT_NUMERICAL),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_model_exit_code(tmp_path, config_path, overrides, expected):
-    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **overrides}))
-    out = tmp_path / "d.csv"
-    code = main(
-        [
-            "simulate",
-            "--config", str(config_path),
-            "--horizon", "2000",
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == expected
-    assert not out.exists()
+def test_overflowing_model_exit_code(cli, overrides, expected):
+    cli.model(**overrides)
+    cli.fails(expected, "simulate", horizon=2000)
 
 
-def test_apf_without_bandwidth_is_config_error(tmp_path, config_path):
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+def test_apf_without_bandwidth_is_config_error(cli):
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, "filter", "requires --eps", eps=None)
 
 
-def test_bad_resample_policy_is_config_error(tmp_path, config_path):
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--resample", "never",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+def test_bad_resample_policy_is_config_error(cli):
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, "filter", "--resample", resample="never")
 
 
-def test_bad_replicate_count_is_config_error(tmp_path, config_path):
-    code = main(
-        [
-            "experiment",
-            "--config", str(config_path),
-            "--replicates", "0",
-            "--seed", "1",
-            "--out", str(tmp_path / "s.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "flags",
+    [
+        dict(algo="abc-smc", eps=0.3),
+        dict(algo="abc-smc", eps=None, kernel="gaussian"),
+        dict(algo="abc-smc", eps=None, proposal="noncentral-t"),
+        dict(smc_percentile=0.5),
+    ],
+    ids=["smc-eps", "smc-kernel", "smc-proposal", "apf-smc-percentile"],
+)
+def test_other_algorithms_flag_is_config_error(cli, flags):
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, "filter", "does not take", **flags)
 
 
-def test_malformed_data_csv_is_config_error(tmp_path, config_path):
-    data = tmp_path / "data.csv"
-    data.write_text("wrong,header\n1,2\n")
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+def test_bad_replicate_count_is_config_error(cli):
+    cli.fails(EXIT_CONFIG, "experiment", "replicates", replicates=0)
+
+
+def test_missing_output_directory_stops_experiment_before_the_study(cli):
+    # The boxplot's directory is checked before the study runs, so the
+    # summary is not written either.
+    missing = cli.dir / "no" / "b.csv"
+    cli.fails(EXIT_CONFIG, "experiment", "does not exist", boxplot_out=missing)
+
+
+def test_malformed_data_csv_is_config_error(cli):
+    cli.data.write_text("wrong,header\n1,2\n")
+    cli.fails(EXIT_CONFIG, "filter", "data header")
 
 
 @pytest.mark.parametrize(
@@ -256,154 +210,59 @@ def test_malformed_data_csv_is_config_error(tmp_path, config_path):
     ["1,0.5", "1,0.5,0.1,9", "2,0.5,0.1", "5,0.5,0.1"],
     ids=["short", "long", "t-out-of-order", "t-repeated"],
 )
-def test_malformed_data_row_is_config_error(tmp_path, config_path, row):
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    data.write_text(data.read_text() + row + "\n")
-    out = tmp_path / "f.csv"
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_CONFIG
-    assert not out.exists()
+def test_malformed_data_row_is_config_error(cli, row):
+    cli.simulate()
+    cli.data.write_text(cli.data.read_text() + row + "\n")
+    cli.fails(EXIT_CONFIG, "filter")
 
 
-def test_infinite_bandwidth_is_config_error(tmp_path, config_path):
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    out = tmp_path / "f.csv"
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "inf",
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_CONFIG
-    assert not out.exists()
+def test_infinite_bandwidth_is_config_error(cli):
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, "filter", "epsilon must be finite", eps="inf")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_observation_is_config_error(tmp_path, config_path, bad):
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    lines = data.read_text().splitlines()
+def test_non_finite_observation_is_config_error(cli, bad):
+    cli.simulate()
+    lines = cli.data.read_text().splitlines()
     t, _, h = lines[3].split(",")
     lines[3] = ",".join([t, bad, h])
-    data.write_text("\n".join(lines) + "\n")
-    assert not np.all(np.isfinite(read_data_csv(data).y))
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+    cli.data.write_text("\n".join(lines) + "\n")
+    cli.fails(EXIT_CONFIG, "filter", "NaN or infinite")
 
 
-def test_nan_weight_maps_to_exit_three(tmp_path, config_path, monkeypatch):
-    data = run_simulate(tmp_path, config_path, horizon=5)
+def test_nan_weight_maps_to_exit_three(cli, monkeypatch):
+    cli.simulate()
     monkeypatch.setattr(
         filters_mod, "log_kernel", lambda spec, u: np.full(np.shape(u), np.nan)
     )
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_NUMERICAL
+    cli.fails(EXIT_NUMERICAL, "filter", "max is nan")
 
 
-def test_numerical_failure_maps_to_exit_three(tmp_path, config_path, monkeypatch):
-    data = run_simulate(tmp_path, config_path, horizon=5)
+def test_numerical_failure_maps_to_exit_three(cli, monkeypatch):
+    cli.simulate()
 
     def boom(*args, **kwargs):
         raise SeriesConvergenceError("no convergence")
 
     monkeypatch.setattr(experiment_mod, "abc_apf_run", boom)
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "0.25",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(tmp_path / "f.csv"),
-        ]
-    )
-    assert code == EXIT_NUMERICAL
+    cli.fails(EXIT_NUMERICAL, "filter", "no convergence")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_all_steps_degenerate_is_numerical_failure(tmp_path, config_path):
+def test_all_steps_degenerate_is_numerical_failure(cli):
     # At eps=1e-300 the Gaussian kernel's squared gap overflows, every weight
     # is log-zero, every step is a degenerate reset and no estimate is written;
     # the CLI's own message is the only report of the overflow.
-    data = run_simulate(tmp_path, config_path, horizon=5)
-    out = tmp_path / "f.csv"
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "1e-300",
-            "--particles", "64",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_NUMERICAL
-    assert not out.exists()
+    cli.simulate()
+    cli.fails(EXIT_NUMERICAL, "filter", "5 of 5 steps", eps=1e-300)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_some_steps_degenerate_is_numerical_failure(tmp_path, config_path, capsys):
+def test_some_steps_degenerate_is_numerical_failure(cli):
     # At this bandwidth 18 of the 20 steps are degenerate resets and two keep
     # a weight; a reset step's estimate ignores its observation, so the run
     # fails and no estimate is written.
-    data = run_simulate(tmp_path, config_path, horizon=20, seed=1)
-    out = tmp_path / "f.csv"
-    code = main(
-        [
-            "filter",
-            "--algo", "abc-apf",
-            "--eps", "3.16e-158",
-            "--particles", "200",
-            "--config", str(config_path),
-            "--data", str(data),
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == EXIT_NUMERICAL
-    assert not out.exists()
-    assert "18 of 20 steps" in capsys.readouterr().err
+    cli.simulate(horizon=20, seed=1)
+    cli.fails(EXIT_NUMERICAL, "filter", "18 of 20 steps", eps=3.16e-158, particles=200)
 
 
 def test_unknown_subcommand_exits_via_argparse():
@@ -412,19 +271,11 @@ def test_unknown_subcommand_exits_via_argparse():
     assert exc.value.code == 2
 
 
-def test_module_entry_point_runs_as_subprocess(tmp_path, config_path):
-    out = tmp_path / "data.csv"
+def test_module_entry_point_runs_as_subprocess(cli):
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "stablevol",
-            "simulate",
-            "--config", str(config_path),
-            "--horizon", "5",
-            "--seed", "2",
-            "--out", str(out),
-        ],
+        [sys.executable, "-m", "stablevol", *cli.argv("simulate", seed=2)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert out.exists()
+    assert cli.out.exists()

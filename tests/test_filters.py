@@ -53,6 +53,15 @@ def gauss_config(eps=0.25, n=500, **kw) -> FilterConfig:
     )
 
 
+def smc_config(percentile=0.25, n=500) -> FilterConfig:
+    return FilterConfig(
+        n_particles=n,
+        kernel=KernelSpec("uniform", None),
+        proposal=ProposalSpec("shifted_t"),
+        smc_percentile=percentile,
+    )
+
+
 LG = LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=0.5)
 
 
@@ -472,12 +481,7 @@ def test_run_rejects_empty_observations():
     with pytest.raises(ValueError):
         abc_apf_run([], svm_model(), gauss_config(), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        abc_smc_run(
-            [], svm_model(), gauss_config(n=100).__class__(
-                n_particles=100, kernel=KernelSpec("uniform", None)
-            ),
-            np.random.default_rng(0),
-        )
+        abc_smc_run([], svm_model(), smc_config(n=100), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -606,20 +610,6 @@ def ess_calls(monkeypatch):
     return calls
 
 
-def test_run_computes_each_cloud_ess_once(ess_calls):
-    # Under the central t the selection law is the carried cloud itself, so
-    # its ESS is computed for the prior cloud and then once per step, where
-    # the recorded ESS and the next step's policy test share it.
-    ys = LG.simulate(30, 3401)[1]
-    config = FilterConfig(
-        64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
-        resample_policy="ess_threshold", resample_scheme="systematic",
-    )
-    out = abc_apf_run(ys, LG, config, np.random.default_rng(3402))
-    assert 0 < out.resample_count < len(ys)
-    assert len(ess_calls) == len(ys) + 1
-
-
 @pytest.mark.parametrize(
     "run, proposal, policy, expected",
     [
@@ -649,8 +639,12 @@ def test_ess_call_counts_per_run(ess_calls, run, proposal, policy, expected):
             128, KernelSpec("gaussian", 0.25), ProposalSpec(proposal),
             resample_policy=policy, resample_scheme="systematic",
         )
-    run(ys, model, config, np.random.default_rng(7))
+    out = run(ys, model, config, np.random.default_rng(7))
     assert len(ess_calls) == expected
+    if (proposal, policy) == ("central_t", "ess_threshold"):
+        # The one case that both resamples and skips, so both branches of the
+        # policy test read the cached ESS.
+        assert 0 < out.resample_count < len(ys)
 
     cloud = ParticleCloud(np.arange(4.0), normalize(np.arange(4.0)))
     ess_calls.clear()
@@ -748,15 +742,6 @@ def test_high_signal_to_noise_tracks_log_squared_observations():
 # ---------------------------------------------------------------------------
 # abc_smc_run
 # ---------------------------------------------------------------------------
-
-
-def smc_config(percentile=0.25, n=500) -> FilterConfig:
-    return FilterConfig(
-        n_particles=n,
-        kernel=KernelSpec("uniform", None),
-        proposal=ProposalSpec("shifted_t"),
-        smc_percentile=percentile,
-    )
 
 
 def test_smc_requires_uniform_kernel():
