@@ -3,10 +3,11 @@
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
-belongs to the other ``--algo`` and an ``experiment`` output directory that
-does not exist), 3 on numerical failures (including an overflow and a filter
-run in which any step was a degenerate reset).  Exit 2 or 3 writes no output
-file and prints one ``error: `` or ``numerical failure: `` line on stderr.
+belongs to the other ``--algo`` and an output directory that does not exist,
+checked before any work), 3 on numerical failures (including an overflow and
+a filter run in which any step was a degenerate reset).  Exit 2 or 3 writes
+no output file and prints one ``error: `` or ``numerical failure: `` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a model trajectory to CSV")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--config", required=True, help="model-parameter JSON file")
     sim.add_argument("--horizon", type=int, required=True, metavar="T")
     sim.add_argument("--seed", type=int, required=True, metavar="S")
     sim.add_argument("--out", required=True, help="output data CSV (t,y,h_true)")
 
     filt = sub.add_parser("filter", help="run one filter over a data CSV")
+    filt.set_defaults(handler=_cmd_filter)
     filt.add_argument("--algo", choices=["abc-apf", "abc-smc"], required=True)
     filt.add_argument(
         "--proposal",
@@ -85,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--out", required=True, help="output CSV (t,h_est,ess)")
 
     exp = sub.add_parser("experiment", help="run the benchmark study grid")
+    exp.set_defaults(handler=_cmd_experiment)
     exp.add_argument("--config", required=True, help="model-parameter JSON file")
     exp.add_argument("--replicates", type=int, required=True, metavar="R")
     exp.add_argument("--seed", type=int, required=True, metavar="S")
@@ -166,11 +170,6 @@ def _cmd_filter(args) -> int:
 
 def _cmd_experiment(args) -> int:
     model = load_model_config(args.config)
-    for path in (args.out, args.boxplot_out):
-        # Checked before the study runs, so a bad path costs no replicate
-        # and leaves no partial output behind.
-        if path and not Path(path).parent.is_dir():
-            raise ValueError(f"the directory of {path} does not exist")
     spec = StudySpec(
         model=model,
         horizon=args.horizon,
@@ -188,16 +187,15 @@ def _cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "filter": _cmd_filter,
-        "experiment": _cmd_experiment,
-    }
     try:
+        for path in (args.out, getattr(args, "boxplot_out", None)):
+            # Checked first, so a bad path costs no work and leaves no output.
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"the directory of {path} does not exist")
         # An overflow surfaces as an inf that the handlers reject with an
         # exit code of their own, so numpy's warning would only repeat it.
         with np.errstate(over="ignore"):
-            return handlers[args.command](args)
+            return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

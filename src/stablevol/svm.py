@@ -132,7 +132,10 @@ def simulate(params, horizon: int, seed) -> Trajectory:
     h[0] = params.initial_sample(rng)
     for t in range(1, horizon + 1):
         h[t] = params.transition_sample(h[t - 1], rng)
-        y[t - 1] = params.observe_sample(h[t], rng)
+        try:
+            y[t - 1] = params.observe_sample(h[t], rng)
+        except OverflowError as exc:
+            raise OverflowError(f"exp(h_t / 2) overflows at step {t}: h_t = {h[t]:.6g}") from exc
     overflowed = np.count_nonzero(~np.isfinite(y))
     if overflowed:
         raise OverflowError(f"{overflowed} of {horizon} simulated observations overflow")

@@ -149,19 +149,20 @@ def test_non_finite_config_value_is_config_error(cli):
 
 
 @pytest.mark.parametrize(
-    "overrides, expected",
+    "overrides, expected, fragment",
     [
         # the stationary mean mu / (1 - phi) overflows: rejected as a config error
-        (dict(mu=1e308, phi=0.5), EXIT_CONFIG),
+        (dict(mu=1e308, phi=0.5), EXIT_CONFIG, "stationary mean"),
         # a finite stationary law whose draws overflow exp(h / 2)
-        (dict(sigma_h=1000.0), EXIT_NUMERICAL),
+        (dict(sigma_h=1000.0), EXIT_NUMERICAL, "exp(h_t / 2) overflows at step 1: h_t = 1869.04"),
         # exp(h / 2) stays finite but two of the 2000 observations exp(h / 2) v do not
-        (dict(mu=70.6), EXIT_NUMERICAL),
+        (dict(mu=70.6), EXIT_NUMERICAL, "2 of 2000 simulated observations overflow"),
     ],
+    ids=["overrides0-2", "overrides1-3", "overrides2-3"],
 )
-def test_overflowing_model_exit_code(cli, overrides, expected):
+def test_overflowing_model_exit_code(cli, overrides, expected, fragment):
     cli.model(**overrides)
-    cli.fails(expected, "simulate", horizon=2000)
+    cli.fails(expected, "simulate", fragment, horizon=2000)
 
 
 def test_apf_without_bandwidth_is_config_error(cli):
@@ -193,11 +194,14 @@ def test_bad_replicate_count_is_config_error(cli):
     cli.fails(EXIT_CONFIG, "experiment", "replicates", replicates=0)
 
 
-def test_missing_output_directory_stops_experiment_before_the_study(cli):
-    # The boxplot's directory is checked before the study runs, so the
-    # summary is not written either.
-    missing = cli.dir / "no" / "b.csv"
-    cli.fails(EXIT_CONFIG, "experiment", "does not exist", boxplot_out=missing)
+@pytest.mark.parametrize(
+    "command, flag", [("simulate", "out"), ("filter", "out"), ("experiment", "boxplot_out")]
+)
+def test_missing_output_directory_stops_command_before_any_work(cli, command, flag):
+    # Every output directory is checked before the command runs, so a study
+    # whose boxplot path is bad does not write its summary either.
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, command, "does not exist", **{flag: cli.dir / "no" / "x.csv"})
 
 
 def test_malformed_data_csv_is_config_error(cli):
