@@ -3,11 +3,11 @@
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
-belongs to the other ``--algo`` and an output directory that does not exist,
-checked before any work), 3 on numerical failures (including an overflow and
-a filter run in which any step was a degenerate reset).  Exit 2 or 3 writes
-no output file and prints one ``error: `` or ``numerical failure: `` line on
-stderr.
+belongs to the other ``--algo``, and an output directory that does not exist
+or an output path that is a directory, both checked before any work), 3 on
+numerical failures (including an overflow and a filter run in which any step
+was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
+``error: `` or ``numerical failure: `` line on stderr.
 """
 
 from __future__ import annotations
@@ -188,10 +188,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in (args.out, getattr(args, "boxplot_out", None)):
+        for path in filter(None, (args.out, getattr(args, "boxplot_out", None))):
             # Checked first, so a bad path costs no work and leaves no output.
-            if path and not Path(path).parent.is_dir():
+            if not Path(path).parent.is_dir():
                 raise ValueError(f"the directory of {path} does not exist")
+            if Path(path).is_dir():
+                raise ValueError(f"{path} is a directory, not a file")
         # An overflow surfaces as an inf that the handlers reject with an
         # exit code of their own, so numpy's warning would only repeat it.
         with np.errstate(over="ignore"):

@@ -96,6 +96,16 @@ class ParticleCloud:
         return ess(self.log_weights)
 
 
+def _log_normalizer(lw: np.ndarray) -> float:
+    """log sum(exp(lw)), shifted by the max; raises as :func:`normalize` does."""
+    m = lw.max()
+    if not math.isfinite(m):
+        if m == -math.inf:
+            raise DegenerateCloudError("all weights are log-zero")
+        raise FloatingPointError(f"log weights must be finite or -inf, max is {m}")
+    return m + math.log(float(np.exp(lw - m).sum()))
+
+
 def normalize(log_weights) -> np.ndarray:
     """Normalize log weights so the plain weights sum to one.
 
@@ -103,19 +113,15 @@ def normalize(log_weights) -> np.ndarray:
     :class:`FloatingPointError` when an entry is NaN or +inf.
     """
     lw = np.asarray(log_weights, dtype=float)
-    m = lw.max()
-    if not math.isfinite(m):
-        if m == -math.inf:
-            raise DegenerateCloudError("all weights are log-zero")
-        raise FloatingPointError(f"log weights must be finite or -inf, max is {m}")
-    return lw - (m + math.log(float(np.exp(lw - m).sum())))
+    return lw - _log_normalizer(lw)
 
 
 def ess(log_weights) -> float:
-    """Effective sample size 1 / sum(w_i^2) of normalized log weights."""
-    lw = 2.0 * np.asarray(log_weights, dtype=float)
-    m = lw.max()
-    return float(np.exp(-(m + math.log(float(np.exp(lw - m).sum())))))
+    """Effective sample size 1 / sum(w_i^2) of normalized log weights.
+
+    Raises as :func:`normalize` does.
+    """
+    return float(np.exp(-_log_normalizer(2.0 * np.asarray(log_weights, dtype=float))))
 
 
 def resample(cloud: ParticleCloud, scheme: str, rng):
@@ -131,7 +137,8 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     w = cloud.weights
-    if abs(float(w.sum()) - 1.0) > 1e-9:
+    # Written so that a NaN sum fails too.
+    if not abs(float(w.sum()) - 1.0) <= 1e-9:
         raise ValueError("resample requires normalized weights")
     n = len(w)
     cdf = np.cumsum(w)

@@ -195,13 +195,22 @@ def test_bad_replicate_count_is_config_error(cli):
 
 
 @pytest.mark.parametrize(
-    "command, flag", [("simulate", "out"), ("filter", "out"), ("experiment", "boxplot_out")]
+    "command, flag, path, fragment",
+    [
+        ("simulate", "out", "no/x.csv", "does not exist"),
+        ("filter", "out", "no/x.csv", "does not exist"),
+        ("experiment", "boxplot_out", "no/x.csv", "does not exist"),
+        ("filter", "out", ".", "is a directory"),
+    ],
+    ids=["simulate-out", "filter-out", "experiment-boxplot_out", "filter-out-is-directory"],
 )
-def test_missing_output_directory_stops_command_before_any_work(cli, command, flag):
-    # Every output directory is checked before the command runs, so a study
-    # whose boxplot path is bad does not write its summary either.
-    cli.simulate()
-    cli.fails(EXIT_CONFIG, command, "does not exist", **{flag: cli.dir / "no" / "x.csv"})
+def test_missing_output_directory_stops_command_before_any_work(
+    cli, command, flag, path, fragment
+):
+    # Every output path is checked before the command runs: a study whose
+    # boxplot path is bad does not write its summary either, and a filter
+    # stops on its output path before it finds its data file missing.
+    cli.fails(EXIT_CONFIG, command, fragment, **{flag: cli.dir / path})
 
 
 def test_malformed_data_csv_is_config_error(cli):

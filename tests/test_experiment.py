@@ -134,12 +134,6 @@ def test_cell_rejects_unknown_algorithm():
         GridCell("kalman", small_cell().config)
 
 
-def test_cell_label_is_content_canonical():
-    a, b = small_cell(), small_cell()
-    assert a.label == b.label
-    assert small_cell(eps=0.5).label != a.label
-
-
 def test_cell_labels_are_pinned():
     # Labels feed derive(), so a changed string would move every study seed.
     cells = benchmark_cells()
@@ -187,32 +181,23 @@ def test_sensitivity_grid_order_and_fixed_coefficients():
 # ---------------------------------------------------------------------------
 
 
-def test_identical_cells_get_identical_metrics():
-    spec = small_spec(cells=[small_cell(), small_cell()], replicates=1)
-    res = run_study(spec)
-    a, b = res.metrics[0][0], res.metrics[1][0]
+def _scores(metrics):
     # wall time is the one field that legitimately varies between runs
-    assert (a.rmse, a.ae, a.degeneracy_count) == (b.rmse, b.ae, b.degeneracy_count)
+    return (metrics.rmse, metrics.ae, metrics.degeneracy_count)
 
 
 def test_study_bit_identical_across_invocations_and_workers():
     spec = small_spec(replicates=4)
-    first = run_study(spec, max_workers=1)
-    second = run_study(spec, max_workers=1)
+    serial = run_study(spec, max_workers=1)
     pooled = run_study(spec, max_workers=4)
-    for a, b in ((first, second), (first, pooled)):
-        for ca, cb in zip(a.metrics, b.metrics):
-            for ma, mb in zip(ca, cb):
-                assert (ma.rmse, ma.ae, ma.degeneracy_count) == (
-                    mb.rmse,
-                    mb.ae,
-                    mb.degeneracy_count,
-                )
+    for ca, cb in zip(serial.metrics, pooled.metrics):
+        assert [_scores(m) for m in ca] == [_scores(m) for m in cb]
 
 
 def test_study_cells_are_paired_on_shared_data():
     # A cell duplicated under a different bandwidth still sees the same data:
-    # rerunning one cell standalone with the derived seeds reproduces its row.
+    # rerunning one cell standalone with the seeds derived from the replicate
+    # and its label reproduces its row, so identical cells score identically.
     spec = small_spec(cells=[small_cell(), small_cell(eps=0.5)], replicates=2)
     res = run_study(spec)
     cell = spec.cells[1]
@@ -220,7 +205,7 @@ def test_study_cells_are_paired_on_shared_data():
         data = simulate(spec.model, spec.horizon, derive(spec.base_seed, r, "data"))
         rng = np.random.default_rng(derive(spec.base_seed, r, cell.label))
         out = abc_apf_run(data.y, spec.model, cell.config, rng)
-        assert run_metrics(out, data.h).rmse == res.metrics[1][r].rmse
+        assert _scores(run_metrics(out, data.h)) == _scores(res.metrics[1][r])
 
 
 def test_aggregate_mean_matches_manual_mean():
@@ -232,13 +217,6 @@ def test_aggregate_mean_matches_manual_mean():
     assert agg["median"].rmse == pytest.approx(float(np.median(rmses)), abs=1e-15)
     assert agg["min"].rmse == pytest.approx(min(rmses), abs=0.0)
     assert agg["max"].rmse == pytest.approx(max(rmses), abs=0.0)
-
-
-def test_every_replicate_satisfies_jensen_inequality():
-    spec = small_spec(replicates=4)
-    res = run_study(spec)
-    for m in res.metrics[0]:
-        assert m.rmse**2 >= m.ae**2 - 1e-12
 
 
 def test_spec_validation():

@@ -95,13 +95,15 @@ def test_normalize_shift_invariance():
 
 
 def test_normalize_rejects_all_log_zero():
-    with pytest.raises(DegenerateCloudError):
-        normalize([-math.inf, -math.inf])
-    # A NaN or +inf weight is a numerical fault, not a degenerate cloud: the
-    # reset must not swallow it.
-    for bad in (math.nan, math.inf):
-        with pytest.raises(FloatingPointError):
-            normalize([0.0, bad, -math.inf])
+    # ess shares normalize's log normaliser, and with it these checks.
+    for fn in (normalize, ess):
+        with pytest.raises(DegenerateCloudError):
+            fn([-math.inf, -math.inf])
+        # A NaN or +inf weight is a numerical fault, not a degenerate cloud:
+        # the reset must not swallow it.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(FloatingPointError):
+                fn([0.0, bad, -math.inf])
 
 
 def test_ess_pinned_cases():
@@ -189,6 +191,10 @@ def test_resample_rejects_unnormalized_weights():
         resample(cloud, "multinomial", np.random.default_rng(0))
     with pytest.raises(ValueError):
         resample(cloud, "stratified-ish", np.random.default_rng(0))
+    nan_cloud = ParticleCloud(np.arange(4.0), np.array([math.nan, 0.0, -1.0, -2.0]))
+    for scheme in ("multinomial", "systematic"):
+        with pytest.raises(ValueError):
+            resample(nan_cloud, scheme, np.random.default_rng(0))
 
 
 def test_resample_preserves_size_and_resets_weights():

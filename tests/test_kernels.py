@@ -13,29 +13,23 @@ from scipy.integrate import quad
 from stablevol.kernels import KernelSpec, log_kernel
 
 
-def test_gaussian_at_zero_frozen_value():
-    spec = KernelSpec("gaussian", 0.25)
-    expected = math.log(1.0 / (0.25 * math.sqrt(2.0 * math.pi)))
-    assert expected == pytest.approx(0.4673558279152179, abs=1e-12)
-    assert log_kernel(spec, 0.0) == pytest.approx(expected, abs=1e-12)
+# (kind, bandwidth, u, log K(u), tolerance), each value derived by hand.
+_KERNEL_VALUES = [
+    ("gaussian", 0.25, 0.0, -math.log(0.25 * math.sqrt(2.0 * math.pi)), 1e-12),
+    ("gaussian", 1.0, 1.0, -0.5 * math.log(2.0 * math.pi) - 0.5, 1e-12),
+    ("uniform", 0.5, 0.6, -math.inf, 0.0),
+    ("uniform", 0.5, -0.6, -math.inf, 0.0),
+    *(("uniform", 0.5, u, -math.log(2.0 * 0.5), 1e-15) for u in (-0.5, -0.2, 0.0, 0.3, 0.5)),
+]
 
 
-def test_uniform_outside_support_is_log_zero():
-    assert log_kernel(KernelSpec("uniform", 0.5), 0.6) == -math.inf
-    assert log_kernel(KernelSpec("uniform", 0.5), -0.6) == -math.inf
-
-
-def test_gaussian_unit_bandwidth_at_one():
-    val = log_kernel(KernelSpec("gaussian", 1.0), 1.0)
-    assert val == pytest.approx(-0.5 * math.log(2.0 * math.pi) - 0.5, abs=1e-12)
-    assert val == pytest.approx(-1.4189385332046727, abs=1e-12)
-
-
-def test_uniform_inside_support_is_flat():
-    spec = KernelSpec("uniform", 0.5)
-    expected = -math.log(1.0)  # 1/(2*0.5)
-    for u in (-0.5, -0.2, 0.0, 0.3, 0.5):
-        assert log_kernel(spec, u) == pytest.approx(expected, abs=1e-15)
+@pytest.mark.parametrize(
+    "kind, eps, u, expected, tol",
+    _KERNEL_VALUES,
+    ids=[f"{k}-{e}-{u}" for k, e, u, *_ in _KERNEL_VALUES],
+)
+def test_kernel_pinned_values(kind, eps, u, expected, tol):
+    assert log_kernel(KernelSpec(kind, eps), u) == pytest.approx(expected, abs=tol)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])

@@ -30,29 +30,22 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_central_t_at_zero():
-    assert math.log(1.0 / (2.0 * math.sqrt(2.0))) == pytest.approx(LOG_T2_AT_ZERO, abs=1e-12)
-    assert log_phat(ProposalSpec("central_t"), 0.0, xi=123.0) == pytest.approx(
-        LOG_T2_AT_ZERO, abs=1e-12
-    )
+# (kind, y, xi, log p_hat(y | xi), tolerance) from closed forms and quadrature.
+_HAND_VALUES = [
+    ("central_t", 0.0, 123.0, math.log(1.0 / (2.0 * math.sqrt(2.0))), 1e-12),
+    ("shifted_t", 3.0, 3.0, LOG_T2_AT_ZERO, 1e-12),  # reduces to the centre
+    ("noncentral_t", 1.0, 0.0, LOG_T2_AT_ONE, 1e-12),  # zero noncentrality
+    ("noncentral_t", 2.0, 1.5, LOG_NCT_DOF2_NC15_AT_2, 1e-9),
+]
 
 
-def test_shifted_t_reduces_to_center():
-    assert log_phat(ProposalSpec("shifted_t"), 3.0, xi=3.0) == pytest.approx(
-        LOG_T2_AT_ZERO, abs=1e-12
-    )
-
-
-def test_noncentral_t_at_zero_noncentrality_matches_hand_value():
-    assert log_phat(ProposalSpec("noncentral_t"), 1.0, xi=0.0) == pytest.approx(
-        LOG_T2_AT_ONE, abs=1e-12
-    )
-
-
-def test_noncentral_t_frozen_quadrature_value():
-    assert log_phat(ProposalSpec("noncentral_t"), 2.0, xi=1.5) == pytest.approx(
-        LOG_NCT_DOF2_NC15_AT_2, abs=1e-9
-    )
+@pytest.mark.parametrize(
+    "kind, y, xi, expected, tol",
+    _HAND_VALUES,
+    ids=[f"{k}-{y}-{xi}" for k, y, xi, *_ in _HAND_VALUES],
+)
+def test_log_phat_hand_values(kind, y, xi, expected, tol):
+    assert log_phat(ProposalSpec(kind), y, xi=xi) == pytest.approx(expected, abs=tol)
 
 
 def test_central_t_ignores_state_summary():

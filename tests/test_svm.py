@@ -21,9 +21,9 @@ from _oracles import (
 
 
 def make_params(
-    mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8
+    mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8, delta=0.0
 ) -> SvmParams:
-    return SvmParams(mu, phi, sigma_h, StableParams(alpha, beta, sigma_v, 0.0))
+    return SvmParams(mu, phi, sigma_h, StableParams(alpha, beta, sigma_v, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -31,36 +31,25 @@ def make_params(
 # ---------------------------------------------------------------------------
 
 
-def test_rejects_nonstationary_persistence():
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(phi=1.0),
+        dict(phi=-1.01),
+        dict(mu=math.nan),  # a non-finite mu leaves the stationary mean undefined
+        dict(mu=math.inf),
+        dict(mu=1e308, phi=0.5),  # a finite mu whose stationary mean overflows
+        dict(sigma_h=0.0),
+        dict(sigma_h=math.inf),
+        dict(sigma_h=1e160),  # a stationary variance that overflows (sigma_h**2 raises)
+        dict(sigma_v=0.0),
+        dict(delta=0.5),  # observation noise that is not centred
+    ],
+    ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
-        make_params(phi=1.0)
-    with pytest.raises(ValueError):
-        make_params(phi=-1.01)
-    # a non-finite mu leaves the stationary mean undefined
-    with pytest.raises(ValueError):
-        make_params(mu=math.nan)
-    with pytest.raises(ValueError):
-        make_params(mu=math.inf)
-    # a finite mu whose stationary mean mu / (1 - phi) overflows
-    with pytest.raises(ValueError):
-        make_params(mu=1e308, phi=0.5)
-
-
-def test_rejects_bad_noise_scales():
-    with pytest.raises(ValueError):
-        make_params(sigma_h=0.0)
-    with pytest.raises(ValueError):
-        make_params(sigma_h=math.inf)
-    # a finite sigma_h whose stationary variance overflows (sigma_h**2 raises)
-    with pytest.raises(ValueError):
-        make_params(sigma_h=1e160)
-    with pytest.raises(ValueError):
-        make_params(sigma_v=0.0)
-
-
-def test_rejects_noncentered_observation_noise():
-    with pytest.raises(ValueError):
-        SvmParams(0.0, 0.9, 1.0, StableParams(1.75, 0.1, 0.8, 0.5))
+        make_params(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +101,9 @@ def test_transition_sample_tiny_noise_collapses_to_mean():
     assert val == pytest.approx(params.transition_mean(2.0), abs=1e-9)
 
 
-def test_state_path_stationary_variance():
+@pytest.fixture(scope="module")
+def state_path():
+    # One 100,000-step path, stepped in Python, shared by the two path checks.
     params = make_params(mu=0.0, phi=0.95, sigma_h=0.6)
     rng = np.random.default_rng(2104)
     n = 100_000
@@ -120,19 +111,15 @@ def test_state_path_stationary_variance():
     h[0] = params.initial_sample(rng)
     for t in range(1, n):
         h[t] = params.transition_sample(h[t - 1], rng)
-    target = 0.36 / (1.0 - 0.9025)
-    assert np.var(h) == pytest.approx(target, rel=0.05)
+    return h
 
 
-def test_state_path_lag_one_autocorrelation():
-    params = make_params(mu=0.0, phi=0.95, sigma_h=0.6)
-    rng = np.random.default_rng(2105)
-    n = 100_000
-    h = np.empty(n)
-    h[0] = params.initial_sample(rng)
-    for t in range(1, n):
-        h[t] = params.transition_sample(h[t - 1], rng)
-    centered = h - np.mean(h)
+def test_state_path_stationary_variance(state_path):
+    assert np.var(state_path) == pytest.approx(0.36 / (1.0 - 0.9025), rel=0.05)
+
+
+def test_state_path_lag_one_autocorrelation(state_path):
+    centered = state_path - np.mean(state_path)
     rho = float(np.dot(centered[1:], centered[:-1]) / np.dot(centered, centered))
     assert rho == pytest.approx(0.95, abs=0.03)
 
@@ -140,12 +127,6 @@ def test_state_path_lag_one_autocorrelation():
 # ---------------------------------------------------------------------------
 # Observation
 # ---------------------------------------------------------------------------
-
-
-def test_observe_sample_gaussian_case_variance():
-    params = make_params(alpha=2.0, beta=0.0, sigma_v=1.0)
-    draws = params.observe_sample(np.zeros(100_000), np.random.default_rng(2106))
-    assert np.var(draws) == pytest.approx(2.0, abs=0.05)
 
 
 def test_observe_sample_volatility_scales_quantiles():
@@ -156,13 +137,6 @@ def test_observe_sample_volatility_scales_quantiles():
     for q in (0.1, 0.25, 0.75, 0.9):
         ratio = np.quantile(hi, q) / np.quantile(lo, q)
         assert ratio == pytest.approx(math.exp(c), rel=0.02)
-
-
-def test_observe_sample_ks_vs_quadrature_cdf():
-    params = make_params()
-    draws = params.observe_sample(np.zeros(100_000), np.random.default_rng(2108))
-    oracle = cached_cdf_interpolant(1.75, 0.1, 0.8, 0.0)
-    assert ks_vs_stable_cdf(draws, oracle) < ks_critical(len(draws))
 
 
 def test_observation_scale_is_exponential_half_state():
@@ -191,13 +165,6 @@ def test_simulate_shapes_and_finiteness():
 def test_simulate_rejects_empty_horizon():
     with pytest.raises(ValueError):
         simulate(make_params(), 0, 1)
-
-
-def test_simulate_bit_reproducible():
-    a = simulate(make_params(), 64, 2110)
-    b = simulate(make_params(), 64, 2110)
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.y, b.y)
 
 
 # Regression pin, not an independent oracle: the bytes below were recorded from
