@@ -2,11 +2,17 @@
 
 On a linear-Gaussian state-space model the filtering distribution is available
 in closed form, so the ABC auxiliary particle filter can be checked against
-ground truth: as the kernel bandwidth shrinks, its filtered means should
-converge to the Kalman means.
+ground truth. With a Gaussian kernel of bandwidth eps the ABC likelihood is
+exactly N(y; x, sigma_y^2 + eps^2), so the ABC-APF targets the Kalman filter
+with sigma_y inflated to sqrt(sigma_y^2 + eps^2). Each eps gets two gaps:
+
+- to the plain Kalman filter: the ABC bias plus the Monte Carlo error;
+- to the exact ABC target: the Monte Carlo error alone.
 
 Run:  python3 demos/kalman_check.py
 """
+
+import math
 
 import numpy as np
 
@@ -28,6 +34,7 @@ def main() -> None:
     print(f"steady-state Kalman sd: {np.sqrt(kalman_vars[-1]):.3f}")
     print()
     print("mean |ABC-APF - Kalman| as the kernel bandwidth shrinks (N=3000):")
+    print("  eps    to plain   to exact ABC target")
     for eps in (1.0, 0.5, 0.25, 0.1, 0.05):
         config = FilterConfig(
             n_particles=3000,
@@ -35,10 +42,17 @@ def main() -> None:
             proposal=ProposalSpec("shifted_t"),
         )
         output = abc_apf_run(y, lg, config, rng=5150)
-        gap = float(np.mean(np.abs(output.filtered_mean - kalman_means)))
-        print(f"  eps={eps:<5}  gap={gap:.4f}")
+        target = LinearGaussianParams(lg.mu, lg.phi, lg.sigma_h, math.sqrt(lg.sigma_y**2 + eps**2))
+        target_means, _ = kalman_run(target, y)
+        plain_gap = float(np.mean(np.abs(output.filtered_mean - kalman_means)))
+        target_gap = float(np.mean(np.abs(output.filtered_mean - target_means)))
+        print(f"  {eps:<5}  {plain_gap:.4f}     {target_gap:.4f}")
     print()
-    print("The gap should fall toward the Monte Carlo noise floor as eps -> 0.")
+    print(
+        "The gap to the exact target is the Monte Carlo error; it grows as eps\n"
+        "shrinks toward 0. The gap to the plain filter adds the ABC bias, which\n"
+        "falls to zero with eps, so at small eps the two gaps meet."
+    )
 
 
 if __name__ == "__main__":

@@ -780,38 +780,31 @@ def test_linear_gaussian_validation_and_scale():
 # ---------------------------------------------------------------------------
 
 
-def test_shrinking_bandwidth_does_not_hurt_kalman_agreement():
-    horizon = 200
-    seeds = range(20)
-    gaps = {}
-    for eps in (0.25, 0.1, 0.05):
-        cfg = FilterConfig(
-            n_particles=5000,
-            kernel=KernelSpec("gaussian", eps),
-            proposal=ProposalSpec("shifted_t"),
-        )
-        per_seed = []
-        for s in seeds:
-            xs, ys = LG.simulate(horizon, 4000 + s)
-            k_means, _ = kalman_run(LG, ys)
-            out = abc_apf_run(ys, LG, cfg, np.random.default_rng(5000 + s))
-            per_seed.append(float(np.mean(np.abs(out.filtered_mean - k_means))))
-        gaps[eps] = np.array(per_seed)
-    for wide, narrow in ((0.25, 0.1), (0.1, 0.05)):
-        diff = gaps[narrow] - gaps[wide]
-        slack = max(0.01, 2.0 * float(np.std(diff) / math.sqrt(len(diff))))
-        assert float(np.mean(diff)) <= slack, (
-            f"eps {wide}->{narrow} worsened the Kalman gap by {np.mean(diff):.4f}"
-        )
-
-
-@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
-def test_apf_means_match_inflated_kalman(proposal):
+def _abc_target(eps):
     # With a Gaussian kernel the ABC likelihood on this model is exactly
     # N(y; x, sigma_y^2 + eps^2), so at every eps the ABC-APF targets the
     # Kalman filter whose observation noise is inflated to that scale.
-    eps = 0.5
-    inflated = LinearGaussianParams(LG.mu, LG.phi, LG.sigma_h, math.sqrt(LG.sigma_y**2 + eps**2))
+    return LinearGaussianParams(LG.mu, LG.phi, LG.sigma_h, math.sqrt(LG.sigma_y**2 + eps**2))
+
+
+def test_abc_bias_falls_to_zero_with_the_bandwidth():
+    # The bias a smaller eps removes, computed exactly: no particles.
+    for s in range(2):
+        _, ys = LG.simulate(200, 4000 + s)
+        plain = kalman_run(LG, ys)[0]
+        bias = [
+            float(np.mean(np.abs(kalman_run(_abc_target(eps), ys)[0] - plain)))
+            for eps in (1.5, 0.5, 0.25, 0.1, 0.05)
+        ]
+        assert all(wide > narrow for wide, narrow in zip(bias, bias[1:])), bias
+        assert kalman_run(_abc_target(0.0), ys)[0].tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("eps, bound", [(0.5, 0.025), (0.05, 0.04)], ids=["eps0.5", "eps0.05"])
+@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
+def test_apf_means_match_exact_abc_target(proposal, eps, bound):
+    # What is left against the exact target is Monte Carlo error, which grows
+    # as eps shrinks (measured 0.008-0.010 at eps 0.5, 0.020-0.026 at 0.05).
     cfg = FilterConfig(
         n_particles=5000,
         kernel=KernelSpec("gaussian", eps),
@@ -820,9 +813,13 @@ def test_apf_means_match_inflated_kalman(proposal):
     for s in range(2):
         _, ys = LG.simulate(200, 4000 + s)
         out = abc_apf_run(ys, LG, cfg, np.random.default_rng(5000 + s))
-        gap = float(np.mean(np.abs(out.filtered_mean - kalman_run(inflated, ys)[0])))
+        gap = float(np.mean(np.abs(out.filtered_mean - kalman_run(_abc_target(eps), ys)[0])))
         plain = float(np.mean(np.abs(out.filtered_mean - kalman_run(LG, ys)[0])))
-        assert gap < 0.025 and gap < plain / 4, f"record {s}: gap {gap:.4f}, plain {plain:.4f}"
+        message = f"record {s}: gap {gap:.4f}, plain {plain:.4f}"
+        assert gap < bound, message
+        # At eps 0.5 the exact bias (0.094) dwarfs the Monte Carlo error, so
+        # the filter must sit far closer to its target than to the plain one.
+        assert eps < 0.5 or gap < plain / 4, message
 
 
 def test_config_validation():
