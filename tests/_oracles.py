@@ -17,6 +17,7 @@ import functools
 import math
 
 import numpy as np
+from scipy import stats
 from scipy.interpolate import PchipInterpolator
 
 from stablevol.stable import StableParams
@@ -61,14 +62,6 @@ def ks_critical(n: int) -> float:
     return KS_COEFF_ONE_PERCENT / math.sqrt(n)
 
 
-def ks_statistic(f_at_sorted: np.ndarray) -> float:
-    """KS statistic from CDF values evaluated at the sorted sample."""
-    f = np.asarray(f_at_sorted, dtype=float)
-    n = len(f)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-
-
 class StableCdfInterpolant:
     """Fast vectorized stand-in for ``cdf_numeric`` built from a fixed grid.
 
@@ -111,7 +104,7 @@ def cached_cdf_interpolant(
 
 def ks_vs_stable_cdf(draws: np.ndarray, oracle: StableCdfInterpolant) -> float:
     """KS statistic of a sample against the interpolated quadrature CDF."""
-    return ks_statistic(oracle(np.sort(np.asarray(draws, dtype=float))))
+    return float(stats.kstest(draws, oracle).statistic)
 
 
 class ScriptedRng:

@@ -749,13 +749,6 @@ def test_kalman_static_state_limit_is_shrinkage_path():
     assert np.allclose(means, 2.0, atol=1e-6)
 
 
-def test_kalman_rejects_nonstationary_default_prior():
-    # phi = 1 has no stationary law; the model refuses it when it is built.
-    with pytest.raises(ValueError):
-        lg = LinearGaussianParams(mu=0.0, phi=1.0, sigma_h=1.0, sigma_y=1.0)
-        kalman_run(lg, [1.0, 2.0])
-
-
 def test_linear_gaussian_validation_and_scale():
     for params in [
         (0.0, 0.9, 0.0, 1.0),

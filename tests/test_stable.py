@@ -20,7 +20,6 @@ from _oracles import (
     ScriptedRng,
     cached_cdf_interpolant,
     ks_critical,
-    ks_vs_stable_cdf,
 )
 
 
@@ -188,74 +187,82 @@ def test_sample_cauchy_quartiles():
     assert q3 == pytest.approx(1.0, abs=0.02)
 
 
-def test_sample_alpha_two_ks_vs_normal_with_scale_location():
-    rng = np.random.default_rng(1003)
-    draws = sample(StableParams(2.0, 0.0, 0.7, 0.3), rng, size=100_000)
-    res = stats.kstest(draws, stats.norm(loc=0.3, scale=0.7 * math.sqrt(2.0)).cdf)
-    assert res.statistic < ks_critical(len(draws))
-
-
-def test_sample_cauchy_ks_with_scale_location():
-    rng = np.random.default_rng(2004)
-    draws = sample(StableParams(1.0, 0.0, 2.0, -1.0), rng, size=100_000)
-    res = stats.kstest(draws, stats.cauchy(loc=-1.0, scale=2.0).cdf)
-    assert res.statistic < ks_critical(len(draws))
-
-
 # ---------------------------------------------------------------------------
-# Sampling vs. the quadrature CDF oracle
+# Sampling vs. the reference CDF: closed forms, else the quadrature CDF
 # ---------------------------------------------------------------------------
 
 
-def test_sample_experiment_noise_ks_vs_quadrature_cdf():
-    rng = np.random.default_rng(1005)
-    draws = sample(StableParams(1.75, 0.1, 0.8, 0.0), rng, size=100_000)
-    oracle = cached_cdf_interpolant(1.75, 0.1, 0.8, 0.0)
-    assert ks_vs_stable_cdf(draws, oracle) < ks_critical(len(draws))
-
-
-@pytest.mark.parametrize("alpha", [1.75, 1.2, 0.8])
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_sample_ks_grid_vs_quadrature_cdf(alpha, beta):
-    rng = np.random.default_rng(int(1000 * alpha + 100 * beta))
-    draws = sample(StableParams(alpha, beta, 1.0, 0.0), rng, size=100_000)
-    oracle = cached_cdf_interpolant(alpha, beta)
-    assert ks_vs_stable_cdf(draws, oracle) < ks_critical(len(draws))
+@pytest.mark.parametrize(
+    "law, seed, closed_form",
+    [
+        pytest.param((2.0, 0.0, 0.7, 0.3), 1003, stats.norm(0.3, 0.7 * 2**0.5), id="normal"),
+        pytest.param((1.0, 0.0, 2.0, -1.0), 2004, stats.cauchy(-1.0, 2.0), id="cauchy"),
+        pytest.param((1.75, 0.1, 0.8, 0.0), 1005, None, id="experiment-noise"),
+        *[
+            pytest.param((a, b, 1.0, 0.0), int(1000 * a + 100 * b), None, id=f"{a}-{b}")
+            for a in (1.75, 1.2, 0.8)
+            for b in (0.0, 0.5)
+        ],
+    ],
+)
+def test_sample_ks_vs_reference_cdf(law, seed, closed_form):
+    draws = sample(StableParams(*law), np.random.default_rng(seed), size=100_000)
+    cdf = cached_cdf_interpolant(*law) if closed_form is None else closed_form.cdf
+    assert stats.kstest(draws, cdf).statistic < ks_critical(len(draws))
 
 
 # ---------------------------------------------------------------------------
-# Density oracle
+# Reference density and CDF
 # ---------------------------------------------------------------------------
 
-
-def test_pdf_cauchy_at_zero():
-    val = pdf_numeric(StableParams(1.0, 0.0, 1.0, 0.0), 0.0)
-    assert val == pytest.approx(1.0 / math.pi, abs=1e-7)
+_LEVY = (0.5, 1.0, 1.0, 0.0)
 
 
-def test_pdf_normal_at_zero():
-    val = pdf_numeric(StableParams(2.0, 0.0, 1.0, 0.0), 0.0)
-    assert val == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-7)
+def _levy_pdf(x):
+    return math.sqrt(1.0 / (2.0 * math.pi)) * x**-1.5 * math.exp(-1.0 / (2.0 * x))
 
 
-def test_pdf_cross_checked_against_independent_quadrature():
-    val = pdf_numeric(StableParams(1.75, 0.1, 1.0, 0.0), 1.0)
-    assert val == pytest.approx(PDF_175_01_AT_1, abs=10e-8)
+def _levy_cdf(x):
+    return math.erfc(math.sqrt(1.0 / (2.0 * x)))
+
+
+# The Levy law S(1/2, 1, 1, 0) is the one skewed stable law with a closed-form
+# density and CDF.
+_CLOSED_FORM_VALUES = [
+    pytest.param((1.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / math.pi, 1e-7, id="cauchy-pdf-0"),
+    pytest.param(
+        (2.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / (2.0 * math.sqrt(math.pi)), 1e-7, id="normal-pdf-0"
+    ),
+    pytest.param((1.75, 0.1, 1.0, 0.0), 1.0, "pdf", PDF_175_01_AT_1, 1e-7, id="independent-pdf-1"),
+    pytest.param((1.2, 0.0, 1.0, 0.0), 0.0, "cdf", 0.5, 1e-7, id="symmetric-cdf-center"),
+    pytest.param((1.75, 0.0, 2.0, 3.0), 3.0, "cdf", 0.5, 1e-7, id="symmetric-shifted-cdf-center"),
+    pytest.param(_LEVY, 0.01, "cdf", _levy_cdf(0.01), 1e-11, id="levy-cdf-support-edge"),
+    *[
+        pytest.param(_LEVY, x, kind, closed(x), 1e-11, id=f"levy-{kind}-{x}")
+        for x in (0.5, 1.0, 3.0)
+        for kind, closed in (("pdf", _levy_pdf), ("cdf", _levy_cdf))
+    ],
+]
+
+
+@pytest.mark.parametrize("law, x, oracle, expected, tol", _CLOSED_FORM_VALUES)
+def test_reference_law_closed_form_values(law, x, oracle, expected, tol):
+    numeric = {"pdf": pdf_numeric, "cdf": cdf_numeric}[oracle]
+    assert abs(numeric(StableParams(*law), x) - expected) <= tol
 
 
 @pytest.mark.parametrize(
     "alpha, beta, radius",
-    [(2.0, 0.0, 30.0), (1.75, 0.1, 300.0), (1.2, 0.3, 600.0), (0.8, -0.2, 9000.0)],
+    [(2.0, 0.0, 30.0), (1.75, 0.1, 300.0), (1.2, 0.3, 600.0), (0.8, -0.2, 300.0)],
 )
-def test_pdf_nonnegative_and_unit_mass(alpha, beta, radius):
+def test_pdf_integrates_to_cdf_difference(alpha, beta, radius):
     params = StableParams(alpha, beta, 1.0, 0.0)
     v_max = math.asinh(radius)
     v = np.linspace(-v_max, v_max, 281)
-    xs = np.sinh(v)
-    dens = np.array([pdf_numeric(params, float(x)) for x in xs])
+    dens = np.array([pdf_numeric(params, float(x)) for x in np.sinh(v)])
     assert np.all(dens >= 0.0)
     mass = np.trapezoid(dens * np.cosh(v), v)
-    assert abs(mass - 1.0) <= 1e-3
+    assert abs(mass - (cdf_numeric(params, radius) - cdf_numeric(params, -radius))) <= 1e-5
 
 
 def _one_term_tail_pdf(params, x):
@@ -283,10 +290,11 @@ def test_pdf_switches_to_power_law_tail(alpha, beta, sign):
 
 # Regression pin of the reference density and CDF, (x, pdf, cdf) per law
 # (alpha, beta, gamma, delta), recorded from the inversion with 6 panels per
-# e^{-ixt} period and tolerance 1e-8.  Points with |x| in the hundreds inside
-# the tail switch exercise the oscillation grid; the rest cover the bulk and
-# the alpha = 1 branch.  A change to the grid or the tolerance must stay
-# within 1e-12.
+# e^{-ixt} period and tolerance 1e-8; they still hold to 1e-12 on the current
+# grid of 2 panels per period.  Points with |x| in the hundreds inside the
+# tail switch exercise the oscillation grid; the rest cover the bulk and the
+# alpha = 1 branch.  A change to the grid or the tolerance must stay within
+# 1e-12.
 _DENSITY_PINS = [
     ((1.75, 0.1, 1.0, 0.0), [
         (-300.0, 2.7178904923466938e-08, 4.6592408440229035e-06),
@@ -350,16 +358,6 @@ def test_pdf_far_tail_is_finite_and_positive():
 # ---------------------------------------------------------------------------
 # CDF oracle
 # ---------------------------------------------------------------------------
-
-
-def test_cdf_symmetric_law_at_center():
-    assert cdf_numeric(StableParams(1.2, 0.0, 1.0, 0.0), 0.0) == pytest.approx(0.5, abs=1e-7)
-    assert cdf_numeric(StableParams(1.75, 0.0, 2.0, 3.0), 3.0) == pytest.approx(0.5, abs=1e-7)
-
-
-def test_cdf_levy_left_support_edge():
-    val = cdf_numeric(StableParams(0.5, 1.0, 1.0, 0.0), 0.01)
-    assert 0.0 <= val <= 1e-8
 
 
 def test_cdf_monotone_and_bounded():
