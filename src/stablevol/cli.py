@@ -5,8 +5,9 @@ non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
 belongs to the other ``--algo``, and an output directory that does not exist
 or an output path that is a directory, both checked before any work), 3 on
-numerical failures (including an overflow and a filter run in which any step
-was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
+numerical failures (including an overflow, a filter run on an observation
+scale exp(h / 2) that overflows or underflows, and a filter run in which any
+step was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
 ``error: `` or ``numerical failure: `` line on stderr.
 """
 
@@ -196,7 +197,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"{path} is a directory, not a file")
         # An overflow surfaces as an inf that the handlers reject with an
         # exit code of their own, so numpy's warning would only repeat it.
-        with np.errstate(over="ignore"):
+        # The same holds for the APF's division by an observation scale that
+        # overflowed or underflowed: the NaN weight it leaves fails normalize.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

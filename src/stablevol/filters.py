@@ -6,10 +6,11 @@ records the weighted mean, the ESS and the resample/degeneracy counters.
 Both steps pick ancestors with ``_select``: it applies the resampling policy
 to a selection cloud and either resamples once or keeps the identity
 ancestry.  A ``ParticleCloud``'s plain weights and ESS are
-``functools.cached_property`` values: each is computed on first read (the only
-read that takes the lock) and kept in the instance dict, so the recorded ESS,
-the next step's policy test, the filtered mean and the resampling CDF share
-them.  The filters differ in the selection law and in the weights:
+``functools.cached_property`` values: each is computed on first read (before
+Python 3.12, the only read that takes the class-wide lock; 3.12 dropped that
+lock) and kept in the instance dict, so the recorded ESS, the next step's
+policy test, the filtered mean and the resampling CDF share them.  The
+filters differ in the selection law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
   filter: the previous cloud is tilted by a cheap proposal density
@@ -79,7 +80,8 @@ class ParticleCloud:
 
     Frozen, so its plain weights ``exp(log_weights)`` and ESS always describe
     its own fields.  Both are ``functools.cached_property`` values: computed on
-    first read, the only read that takes the lock, and kept in the instance dict.
+    first read (before Python 3.12, the only read that takes the lock) and kept
+    in the instance dict.
     """
 
     states: np.ndarray
@@ -315,6 +317,9 @@ def abc_smc_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     states = model.transition_sample(cloud.states, rng)
     d = np.abs(model.observe_sample(states, rng) - y)
     eps_t = max(resolve_epsilon(d, config.smc_percentile), _TINY)
+    if not math.isfinite(eps_t):
+        # Pseudo-observations that overflow leave no finite tolerance.
+        raise FloatingPointError(f"ABC-SMC tolerance is {eps_t} at step {cloud.t + 1}")
     raw = cloud.log_weights + log_kernel(KernelSpec("uniform", eps_t), d)
     return _reweighted(states, raw, cloud.t + 1, resampled)
 

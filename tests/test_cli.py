@@ -165,6 +165,27 @@ def test_overflowing_model_exit_code(cli, overrides, expected, fragment):
     cli.fails(expected, "simulate", fragment, horizon=2000)
 
 
+@pytest.mark.parametrize(
+    "mu, flags, fragment",
+    [
+        # exp(h / 2) = inf: the gap over it is inf / inf, a NaN weight, and
+        # numpy's divide and invalid warnings must not print a second line.
+        (1500.0, {}, "max is nan"),
+        # exp(h / 2) = 0: the gap over it and log(0) make the NaN weight.
+        (-1500.0, {}, "max is nan"),
+        # Every distance is inf, and so is the tolerance: a numerical failure,
+        # not a bad bandwidth (exit 2).
+        (1500.0, dict(algo="abc-smc", eps=None), "tolerance is inf at step 1"),
+    ],
+    ids=["apf-overflow", "apf-underflow", "smc-overflow"],
+)
+def test_filter_on_non_finite_observation_scale_is_numerical_failure(cli, mu, flags, fragment):
+    # The stationary mean mu is finite, so the model itself is accepted.
+    cli.simulate()
+    cli.model(mu=mu, phi=0.0)
+    cli.fails(EXIT_NUMERICAL, "filter", fragment, **flags)
+
+
 def test_apf_without_bandwidth_is_config_error(cli):
     cli.simulate()
     cli.fails(EXIT_CONFIG, "filter", "requires --eps", eps=None)

@@ -31,25 +31,40 @@ def make_params(
 # ---------------------------------------------------------------------------
 
 
+def make_lg(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=0.5) -> LinearGaussianParams:
+    return LinearGaussianParams(mu, phi, sigma_h, sigma_y)
+
+
+# The AR1State domain, shared by both models.
+_AR1_ROWS = [
+    dict(phi=1.0),
+    dict(phi=-1.01),
+    dict(mu=math.nan),  # a non-finite mu leaves the stationary mean undefined
+    dict(mu=math.inf),
+    dict(mu=1e308, phi=0.5),  # a finite mu whose stationary mean overflows
+    dict(sigma_h=0.0),
+    dict(sigma_h=math.inf),
+    dict(sigma_h=1e160),  # a stationary variance that overflows (sigma_h**2 raises)
+]
+_OWN_ROWS = {
+    make_params: [dict(delta=0.5)],  # observation noise that is not centred
+    make_lg: [dict(sigma_y=0.0), dict(sigma_y=math.inf), dict(sigma_y=1e160)],
+}
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "make, bad",
     [
-        dict(phi=1.0),
-        dict(phi=-1.01),
-        dict(mu=math.nan),  # a non-finite mu leaves the stationary mean undefined
-        dict(mu=math.inf),
-        dict(mu=1e308, phi=0.5),  # a finite mu whose stationary mean overflows
-        dict(sigma_h=0.0),
-        dict(sigma_h=math.inf),
-        dict(sigma_h=1e160),  # a stationary variance that overflows (sigma_h**2 raises)
-        dict(sigma_v=0.0),
-        dict(delta=0.5),  # observation noise that is not centred
+        pytest.param(
+            make, bad, id=f"{name}-" + ",".join(f"{k}={v}" for k, v in bad.items())
+        )
+        for make, name in [(make_params, "SvmParams"), (make_lg, "LinearGaussianParams")]
+        for bad in _AR1_ROWS + _OWN_ROWS[make]
     ],
-    ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
 )
-def test_rejects_bad_parameters(bad):
+def test_rejects_bad_parameters(make, bad):
     with pytest.raises(ValueError):
-        make_params(**bad)
+        make(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +79,6 @@ def test_initial_sample_stationary_moments():
     draws = params.initial_sample(rng, size=100_000)
     assert np.mean(draws) == pytest.approx(0.0, abs=0.01)
     assert np.var(draws) == pytest.approx(0.04 / 0.19, abs=0.01)
-
-
-def test_stationary_mean_reference_parameters():
-    assert make_params().stationary_mean == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_initial_sample_degenerate_ar_is_standard_normal():
