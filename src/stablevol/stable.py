@@ -14,8 +14,8 @@ beta = 0 is Cauchy(delta, gamma); alpha = 1/2, beta = 1 is Levy(delta, gamma).
 
 Sampling uses the Chambers-Mallows-Stuck (CMS) transformation of a uniform and an
 exponential variate.  The density has no closed form and the filters never
-evaluate it; the tests check the sampler against a reference density and CDF
-obtained by inverting the characteristic function (``tests/_inversion.py``).
+evaluate it; the tests check the sampler against scipy's ``levy_stable`` CDF,
+whose default ``S1`` parameterization is this one (``tests/_oracles.py``).
 """
 
 from __future__ import annotations

@@ -3,12 +3,15 @@
 Frozen constants below were each computed from an implementation independent
 of the library code (closed forms, exact rational recursion, or adaptive
 quadrature of a defining integral representation) and recorded here before
-being asserted against.  The CDF interpolant turns the slow-but-accurate
-quadrature CDF into a fast vectorized callable so 1e5-sample KS tests stay
-cheap: quadrature values on a tangent-spaced grid, monotone cubic
-interpolation in the compactified coordinate, and the power-law tail formula
-outside the grid (absolute error there is a few 1e-5 at worst, far below the
-KS resolution of ~5e-3 at n = 1e5).
+being asserted against.  The stable law has no closed-form density, so the
+reference CDF of every KS check on the sampler is scipy's ``levy_stable``,
+whose default ``S1`` parameterization is the package's.  The CDF interpolant
+makes it a fast vectorized callable so 1e5-sample KS tests stay cheap: scipy's
+values on a tangent-spaced grid, monotone cubic interpolation in the
+compactified coordinate, and the one-term power-law tail outside the grid,
+where scipy's CDF can read 0 (at alpha 1.2, beta 0.3 it does at x = -450).
+The tail meets scipy's values at the grid edges to under 1e-5, far below the
+KS resolution of ~5e-3 at n = 1e5.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from scipy import stats
 from scipy.interpolate import PchipInterpolator
 
 from stablevol.stable import StableParams
-
-from _inversion import _cdf_tail, _tail_switch_radius, cdf_numeric
 
 # --- frozen hand-derived values -------------------------------------------
 
@@ -62,26 +63,56 @@ def ks_critical(n: int) -> float:
     return KS_COEFF_ONE_PERCENT / math.sqrt(n)
 
 
-class StableCdfInterpolant:
-    """Fast vectorized stand-in for ``cdf_numeric`` built from a fixed grid.
+def char_fn(params: StableParams, t):
+    """Characteristic function psi(t) of the 1-parameterization, shaped like t.
 
-    Quadrature CDF values are taken on ``x = delta + gamma tan(u)`` for
-    uniformly spaced u, interpolated monotonically in u; points beyond the
-    grid use the one-term power-law tail.
+    Returns what numpy returns: a complex array, and a numpy complex scalar or
+    0-d array for scalar t.
+    """
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    t = np.asarray(t, dtype=float)
+    at, sgn = np.abs(t), np.sign(t)
+    if params.is_alpha_one:
+        # |t| log|t| -> 0 as t -> 0, so the log reads 0 at the origin.
+        skew = -b * (2.0 / np.pi) * sgn * np.log(np.where(at > 0.0, at, 1.0))
+        scale = g * at
+    else:
+        skew = b * math.tan(np.pi * a / 2.0) * sgn
+        scale = (g * at) ** a
+    return np.exp(-scale * (1.0 - 1j * skew) + 1j * d * t)
+
+
+def _cdf_tail(params: StableParams, x: np.ndarray) -> np.ndarray:
+    """One-term power-law tail of the CDF away from delta: the mass beyond
+    x is C_alpha (1 +- beta) |(x - delta) / gamma|^(-alpha), with
+    C_alpha = Gamma(alpha) sin(pi alpha / 2) / pi."""
+    a = params.alpha
+    c = math.gamma(a) * math.sin(np.pi * a / 2.0) / np.pi
+    z = (x - params.delta) / params.gamma
+    side = np.where(z > 0.0, 1.0 + params.beta, 1.0 - params.beta)
+    mass = np.minimum(1.0, c * side * np.abs(z) ** -a)
+    return np.where(z > 0.0, 1.0 - mass, mass)
+
+
+class StableCdfInterpolant:
+    """Fast vectorized stable CDF built from a fixed grid.
+
+    scipy's ``levy_stable`` CDF values are taken on ``x = delta + gamma tan(u)``
+    for uniformly spaced u out to a standardized radius max(60, 10^(2.5/alpha))
+    and interpolated monotonically in u; points beyond the grid use the
+    one-term power-law tail.
     """
 
     def __init__(self, params: StableParams, n_grid: int = 301):
-        std = StableParams(params.alpha, params.beta, 1.0, 0.0)
-        radius = min(
-            _tail_switch_radius(std), max(60.0, 10.0 ** (2.5 / params.alpha))
-        )
-        u_max = math.atan(radius)
+        u_max = math.atan(max(60.0, 10.0 ** (2.5 / params.alpha)))
         self.params = params
-        self.u = np.linspace(-u_max, u_max, n_grid)
-        xs = params.delta + params.gamma * np.tan(self.u)
-        values = np.array([cdf_numeric(params, float(x)) for x in xs])
+        u = np.linspace(-u_max, u_max, n_grid)
+        xs = params.delta + params.gamma * np.tan(u)
+        values = stats.levy_stable.cdf(
+            xs, params.alpha, params.beta, loc=params.delta, scale=params.gamma
+        )
         self.lo, self.hi = float(xs[0]), float(xs[-1])
-        self._interp = PchipInterpolator(self.u, values)
+        self._interp = PchipInterpolator(u, values)
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -89,21 +120,25 @@ class StableCdfInterpolant:
         inside = (x >= self.lo) & (x <= self.hi)
         z = (x[inside] - self.params.delta) / self.params.gamma
         out[inside] = self._interp(np.arctan(z))
-        for i in np.flatnonzero(~inside):
-            out.flat[i] = _cdf_tail(self.params, float(x.flat[i]))
+        out[~inside] = _cdf_tail(self.params, x[~inside])
         return np.clip(out, 0.0, 1.0)
 
 
-@functools.lru_cache(maxsize=None)
 def cached_cdf_interpolant(
     alpha: float, beta: float, gamma: float = 1.0, delta: float = 0.0, n_grid: int = 301
 ) -> StableCdfInterpolant:
-    """Session-cached interpolants (grid construction is the slow part)."""
-    return StableCdfInterpolant(StableParams(alpha, beta, gamma, delta), n_grid)
+    """Session-cached interpolants (grid construction is the slow part), one
+    per law and grid size however the call spells its arguments."""
+    return _interpolant(StableParams(alpha, beta, gamma, delta), n_grid)
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolant(params: StableParams, n_grid: int) -> StableCdfInterpolant:
+    return StableCdfInterpolant(params, n_grid)
 
 
 def ks_vs_stable_cdf(draws: np.ndarray, oracle: StableCdfInterpolant) -> float:
-    """KS statistic of a sample against the interpolated quadrature CDF."""
+    """KS statistic of a sample against the interpolated reference CDF."""
     return float(stats.kstest(draws, oracle).statistic)
 
 

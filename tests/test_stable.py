@@ -1,4 +1,4 @@
-"""Tests for the stable-distribution sampler and its quadrature oracles."""
+"""Tests for the stable-distribution sampler and its reference law."""
 
 from __future__ import annotations
 
@@ -12,13 +12,13 @@ from scipy import stats
 
 from stablevol.stable import StableParams, sample, transform
 
-from _inversion import _tail_switch_radius, cdf_numeric, char_fn, pdf_numeric
 from _oracles import (
     CMS_ALPHA_HALF_VALUE,
     PDF_175_01_AT_1,
     TRANSFORM_ALPHA_ONE_E_SCALE,
     ScriptedRng,
     cached_cdf_interpolant,
+    char_fn,
     ks_critical,
 )
 
@@ -188,7 +188,7 @@ def test_sample_cauchy_quartiles():
 
 
 # ---------------------------------------------------------------------------
-# Sampling vs. the reference CDF: closed forms, else the quadrature CDF
+# Sampling vs. the reference CDF: closed forms, else scipy's stable CDF
 # ---------------------------------------------------------------------------
 
 
@@ -212,7 +212,7 @@ def test_sample_ks_vs_reference_cdf(law, seed, closed_form):
 
 
 # ---------------------------------------------------------------------------
-# Reference density and CDF
+# Reference law: scipy's levy_stable in the package's parameterization
 # ---------------------------------------------------------------------------
 
 _LEVY = (0.5, 1.0, 1.0, 0.0)
@@ -226,19 +226,25 @@ def _levy_cdf(x):
     return math.erfc(math.sqrt(1.0 / (2.0 * x)))
 
 
-# The Levy law S(1/2, 1, 1, 0) is the one skewed stable law with a closed-form
-# density and CDF.
+# Values that tie scipy's law to the package's: alpha = 2 is the normal law
+# with variance 2 gamma^2 and alpha = 1, beta = 0 the Cauchy law.  The Levy law
+# S(1/2, 1, 1, 0) lives on [0, inf) here, which fixes the skew direction (under
+# scipy's S0 its location would move by 1).  PDF_175_01_AT_1 is an independent
+# quadrature value for a law with no closed form.
 _CLOSED_FORM_VALUES = [
-    pytest.param((1.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / math.pi, 1e-7, id="cauchy-pdf-0"),
     pytest.param(
-        (2.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / (2.0 * math.sqrt(math.pi)), 1e-7, id="normal-pdf-0"
+        (2.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / (2.0 * math.sqrt(math.pi)), 1e-12, id="normal-pdf-0"
     ),
-    pytest.param((1.75, 0.1, 1.0, 0.0), 1.0, "pdf", PDF_175_01_AT_1, 1e-7, id="independent-pdf-1"),
-    pytest.param((1.2, 0.0, 1.0, 0.0), 0.0, "cdf", 0.5, 1e-7, id="symmetric-cdf-center"),
-    pytest.param((1.75, 0.0, 2.0, 3.0), 3.0, "cdf", 0.5, 1e-7, id="symmetric-shifted-cdf-center"),
-    pytest.param(_LEVY, 0.01, "cdf", _levy_cdf(0.01), 1e-11, id="levy-cdf-support-edge"),
+    pytest.param(
+        (2.0, 0.0, 0.7, 0.3), 1.0, "cdf", stats.norm(0.3, 0.7 * 2**0.5).cdf(1.0), 1e-12,
+        id="normal-cdf-1",
+    ),
+    pytest.param((1.0, 0.0, 1.0, 0.0), 0.0, "pdf", 1.0 / math.pi, 1e-12, id="cauchy-pdf-0"),
+    pytest.param((1.0, 0.0, 2.0, -1.0), 1.0, "cdf", 0.75, 1e-12, id="cauchy-cdf-1"),
+    pytest.param((1.75, 0.1, 1.0, 0.0), 1.0, "pdf", PDF_175_01_AT_1, 1e-8, id="independent-pdf-1"),
+    pytest.param(_LEVY, 0.01, "cdf", _levy_cdf(0.01), 1e-12, id="levy-cdf-support-edge"),
     *[
-        pytest.param(_LEVY, x, kind, closed(x), 1e-11, id=f"levy-{kind}-{x}")
+        pytest.param(_LEVY, x, kind, closed(x), 1e-12, id=f"levy-{kind}-{x}")
         for x in (0.5, 1.0, 3.0)
         for kind, closed in (("pdf", _levy_pdf), ("cdf", _levy_cdf))
     ],
@@ -247,135 +253,33 @@ _CLOSED_FORM_VALUES = [
 
 @pytest.mark.parametrize("law, x, oracle, expected, tol", _CLOSED_FORM_VALUES)
 def test_reference_law_closed_form_values(law, x, oracle, expected, tol):
-    numeric = {"pdf": pdf_numeric, "cdf": cdf_numeric}[oracle]
-    assert abs(numeric(StableParams(*law), x) - expected) <= tol
+    alpha, beta, gamma, delta = law
+    value = getattr(stats.levy_stable, oracle)(x, alpha, beta, loc=delta, scale=gamma)
+    assert abs(value - expected) <= tol
 
 
-@pytest.mark.parametrize(
-    "alpha, beta, radius",
-    [(2.0, 0.0, 30.0), (1.75, 0.1, 300.0), (1.2, 0.3, 600.0), (0.8, -0.2, 300.0)],
-)
-def test_pdf_integrates_to_cdf_difference(alpha, beta, radius):
-    params = StableParams(alpha, beta, 1.0, 0.0)
-    v_max = math.asinh(radius)
-    v = np.linspace(-v_max, v_max, 281)
-    dens = np.array([pdf_numeric(params, float(x)) for x in np.sinh(v)])
-    assert np.all(dens >= 0.0)
-    mass = np.trapezoid(dens * np.cosh(v), v)
-    assert abs(mass - (cdf_numeric(params, radius) - cdf_numeric(params, -radius))) <= 1e-5
-
-
-def _one_term_tail_pdf(params, x):
-    """alpha C_alpha (1 +- beta) gamma^alpha |x - delta|^(-alpha - 1)."""
-    a = params.alpha
-    c_alpha = math.gamma(a) * math.sin(math.pi * a / 2.0) / math.pi
-    side = 1.0 + params.beta if x > params.delta else 1.0 - params.beta
-    return a * c_alpha * side * params.gamma**a * abs(x - params.delta) ** (-a - 1.0)
-
-
-@pytest.mark.parametrize("alpha, beta", [(1.75, 0.1), (1.2, 0.3), (0.8, -0.2)])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_pdf_switches_to_power_law_tail(alpha, beta, sign):
-    params = StableParams(alpha, beta, 1.0, 0.0)
-    radius = _tail_switch_radius(params)
-    # Just inside the switch the inversion agrees with the tail expansion ...
-    x_in = sign * 0.99 * radius
-    assert pdf_numeric(params, x_in) == pytest.approx(_one_term_tail_pdf(params, x_in), rel=1e-2)
-    # ... and past it the density is that expansion.
-    x_out = sign * 1.01 * radius
-    assert pdf_numeric(params, x_out) == pytest.approx(
-        _one_term_tail_pdf(params, x_out), rel=1e-12
-    )
-
-
-# Regression pin of the reference density and CDF, (x, pdf, cdf) per law
-# (alpha, beta, gamma, delta), recorded from the inversion with 6 panels per
-# e^{-ixt} period and tolerance 1e-8; they still hold to 1e-12 on the current
-# grid of 2 panels per period.  Points with |x| in the hundreds inside the
-# tail switch exercise the oscillation grid; the rest cover the bulk and the
-# alpha = 1 branch.  A change to the grid or the tolerance must stay within
-# 1e-12.
-_DENSITY_PINS = [
-    ((1.75, 0.1, 1.0, 0.0), [
-        (-300.0, 2.7178904923466938e-08, 4.6592408440229035e-06),
-        (-3.0, 0.030495672082985578, 0.031231319481445474),
-        (-0.5, 0.26706353676227484, 0.3682968712362845),
-        (0.0, 0.28327433365540805, 0.507529882521961),
-        (1.0, 0.20725058561327306, 0.7624357313886607),
-        (200.0, 1.013055158971606e-07, 0.9999884222267547),
-    ]),
-    ((1.5, -0.7, 2.0, 1.0), [
-        (-300.0, 9.152695310205712e-07, 0.00018366408589146126),
-        (-3.0, 0.029461669185904326, 0.10591281821398779),
-        (-0.5, 0.07449829702888396, 0.22813534082831277),
-        (0.0, 0.08779148358936018, 0.26866446682404627),
-        (1.0, 0.11550981987343319, 0.3703999251905289),
-        (200.0, 4.5696709581594434e-07, 0.999939541651951),
-    ]),
-    ((1.2, 0.3, 1.0, 0.0), [
-        (-300.0, 8.319145897757864e-07, 0.00020762283989367303),
-        (-3.0, 0.05564225409079983, 0.08796800879584687),
-        (-0.5, 0.25709083827153395, 0.586246886396126),
-        (0.0, 0.1883112045782756, 0.697761328000414),
-        (1.0, 0.08695361603214403, 0.8293976275453916),
-        (200.0, 3.7469312129814666e-06, 0.9993746746699605),
-    ]),
-    ((1.0, 0.5, 1.0, 0.0), [
-        (-300.0, 1.7505612781798528e-06, 0.0005275571725632533),
-        (-3.0, 0.016645663544486038, 0.048987445578080935),
-        (-0.5, 0.29260958148075966, 0.2864085232950674),
-        (0.0, 0.29252047056602404, 0.4375114838590963),
-        (1.0, 0.15993626946128775, 0.6635450982516796),
-        (200.0, 1.2103702131616698e-05, 0.9975940778482149),
-    ]),
-    ((0.8, -0.2, 1.0, 0.0), [
-        (-300.0, 1.1815129899347724e-05, 0.004421098152000202),
-        (-3.0, 0.04925924281705894, 0.18409805790326933),
-        (-0.5, 0.3559818372906298, 0.5646443619794907),
-        (0.0, 0.22760100272848294, 0.7195404336166972),
-        (1.0, 0.06511303361007523, 0.8426450466314332),
-        (200.0, 1.5952252422502574e-05, 0.9959721975206521),
-    ]),
+# Every interpolant a KS test builds: criterion 2's three laws at n_grid 401,
+# and the KS table's six laws and the observation noise at 301.
+_KS_INTERPOLANTS = [
+    pytest.param((a, b, g, 0.0), n, id=f"{a}-{b}-{g}-{n}")
+    for a, b, g, n in [
+        (1.75, 0.1, 1.0, 401), (1.2, 0.3, 1.0, 401), (0.8, -0.2, 1.0, 401),
+        *[(a, b, 1.0, 301) for a in (1.75, 1.2, 0.8) for b in (0.0, 0.5)],
+        (1.75, 0.1, 0.8, 301),
+    ]
 ]
 
 
-@pytest.mark.parametrize("law, rows", _DENSITY_PINS)
-def test_density_and_cdf_match_pinned_values(law, rows):
-    params = StableParams(*law)
-    for x, pdf, cdf in rows:
-        assert abs(pdf_numeric(params, x) - pdf) <= 1e-12, x
-        assert abs(cdf_numeric(params, x) - cdf) <= 1e-12, x
-
-
-def test_pdf_far_tail_is_finite_and_positive():
-    # Past the inversion's oscillation budget (it raised QuadratureError here).
-    params = StableParams(0.8, -0.2, 1.0, 0.0)
-    for x in (5e4, -5e4):
-        val = pdf_numeric(params, x)
-        assert math.isfinite(val) and val > 0.0
-
-
-# ---------------------------------------------------------------------------
-# CDF oracle
-# ---------------------------------------------------------------------------
-
-
-def test_cdf_monotone_and_bounded():
-    params = StableParams(1.2, 0.3, 1.0, 0.0)
-    xs = [-50.0, -5.0, -1.0, 0.0, 1.0, 5.0, 50.0]
-    vals = [cdf_numeric(params, x) for x in xs]
-    assert all(0.0 <= v <= 1.0 for v in vals)
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert vals[0] < 0.05 and vals[-1] > 0.95
-
-
-def test_cdf_cross_checked_against_monte_carlo():
-    params = StableParams(1.75, 0.1, 1.0, 0.0)
-    n = 1_000_000
-    draws = sample(params, np.random.default_rng(1006), size=n)
-    emp = float(np.mean(draws <= 2.0))
-    se = math.sqrt(emp * (1.0 - emp) / n)
-    assert cdf_numeric(params, 2.0) == pytest.approx(emp, abs=3.0 * se)
+@pytest.mark.parametrize("law, n_grid", _KS_INTERPOLANTS)
+def test_interpolant_meets_power_law_tail_at_grid_edges(law, n_grid):
+    oracle = cached_cdf_interpolant(*law, n_grid=n_grid)
+    lo, hi = oracle.lo, oracle.hi
+    # Each grid edge against the tail one ulp past it.
+    grid_lo, tail_lo, grid_hi, tail_hi = oracle(
+        [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)]
+    )
+    assert abs(grid_lo - tail_lo) <= 2e-5
+    assert abs(grid_hi - tail_hi) <= 2e-5
 
 
 # ---------------------------------------------------------------------------
