@@ -7,8 +7,13 @@ command).  This demo shrinks the horizon, particle count and replicate count
 so the whole grid runs in well under a minute, and prints the same kind of
 summary table.
 
+Replicates run in one spawned process per core; the results do not depend
+on the worker count, but each run's seconds then include any contention.
+
 Run:  python3 demos/error_study.py
 """
+
+import os
 
 from stablevol.experiment import (
     StudySpec,
@@ -28,7 +33,7 @@ def main() -> None:
     )
     print(f"running {len(spec.cells)} grid cells x {spec.replicates} replicates "
           f"at T={spec.horizon}, N=300 ...")
-    result = run_study(spec)
+    result = run_study(spec, max_workers=os.cpu_count())
 
     print()
     print(f"{'algo':8s} {'proposal':13s} {'bandwidth':>9s} "

@@ -97,6 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--boxplot-out", default=None, help="optional long-format CSV path")
     exp.add_argument("--horizon", type=int, default=500, metavar="T")
     exp.add_argument("--particles", type=int, default=5000, metavar="N")
+    exp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="W",
+        help="processes running replicates (default 1, so 'seconds' times a run alone)",
+    )
     return parser
 
 
@@ -170,6 +177,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     model = load_model_config(args.config)
     spec = StudySpec(
         model=model,
@@ -178,7 +187,7 @@ def _cmd_experiment(args) -> int:
         replicates=args.replicates,
         base_seed=args.seed,
     )
-    result = run_study(spec)
+    result = run_study(spec, max_workers=args.workers)
     write_summary_csv(args.out, result)
     if args.boxplot_out:
         write_boxplot_csv(args.boxplot_out, result)

@@ -211,7 +211,9 @@ def run_study(spec: StudySpec, max_workers: int = 1) -> StudyResult:
     ``max_workers`` > 1 runs replicates in a pool of spawned processes (the
     filters are Python-bound, so threads would share one interpreter lock);
     results are bit-identical for any worker count because each
-    (replicate, cell) pair owns a derived seed.
+    (replicate, cell) pair owns a derived seed.  The workers handle numpy's
+    floating-point errors as the caller does, and the first replicate that
+    raises stops the study: the replicates not yet started are dropped.
     """
     if max_workers <= 1:
         rows = [_replicate_task(spec, r) for r in range(spec.replicates)]
@@ -220,8 +222,18 @@ def run_study(spec: StudySpec, max_workers: int = 1) -> StudyResult:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(max_workers, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(functools.partial(_replicate_task, spec), range(spec.replicates)))
+        with ProcessPoolExecutor(
+            max_workers,
+            mp_context=get_context("spawn"),
+            initializer=functools.partial(np.seterr, **np.geterr()),
+        ) as pool:
+            try:
+                rows = list(
+                    pool.map(functools.partial(_replicate_task, spec), range(spec.replicates))
+                )
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     metrics = [
         [rows[r][c] for r in range(spec.replicates)] for c in range(len(spec.cells))
     ]

@@ -26,9 +26,12 @@ filters differ in the selection law and in the weights:
 Models are duck-typed: anything with ``initial_sample(rng, size)``,
 ``transition_mean(h)``, ``transition_sample(h, rng)``,
 ``observe_sample(h, rng)`` and ``observation_scale(h)`` works (``SvmParams``
-and ``LinearGaussianParams`` both do).  All weights live in log space; a cloud
+and ``LinearGaussianParams`` both do); ``observation_scale`` may return a
+scalar that broadcasts against ``h``.  All weights live in log space; a cloud
 whose weights all vanish is reset to uniform and counted rather than aborting
-the run.  An empty or non-finite record is rejected, as ``kalman_run`` does.
+the run.  Every uniform cloud of one size (the prior, a resampled cloud, a
+reset) shares one read-only log-weight array.  An empty or non-finite record
+is rejected, as ``kalman_run`` does.
 
 ``kalman_run`` is the exact filter of ``LinearGaussianParams``.  Like the
 particle filters, it starts from the stationary law of x_0.
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,6 +99,15 @@ class ParticleCloud:
     def ess(self) -> float:
         """``ess(log_weights)``, through the module-level function."""
         return ess(self.log_weights)
+
+
+@cache
+def _uniform_log_weights(n: int) -> np.ndarray:
+    """The log weights -log(n) of a uniform n-particle cloud, built once per
+    size and read-only, since every uniform cloud of that size shares them."""
+    lw = np.full(n, -math.log(n))
+    lw.flags.writeable = False
+    return lw
 
 
 def _log_normalizer(lw: np.ndarray) -> float:
@@ -156,7 +168,7 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     else:
         u = (rng.random() + np.arange(n)) / n
         ancestors = cdf.searchsorted(u, side="right")
-    out = ParticleCloud(cloud.states[ancestors], np.full(n, -math.log(n)), cloud.t)
+    out = ParticleCloud(cloud.states[ancestors], _uniform_log_weights(n), cloud.t)
     return out, ancestors
 
 
@@ -259,7 +271,7 @@ def _reweighted(states, raw, t: int, resampled: bool):
     try:
         lw, degenerate = normalize(raw), False
     except DegenerateCloudError:
-        lw, degenerate = np.full(len(raw), -math.log(len(raw))), True
+        lw, degenerate = _uniform_log_weights(len(raw)), True
     out = ParticleCloud(states, lw, t)
     return out, StepDiagnostics(resampled, degenerate)
 
@@ -346,7 +358,7 @@ def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
     start = time.perf_counter()
     n = config.n_particles
     states = np.asarray(model.initial_sample(rng, size=n), dtype=float)
-    cloud = ParticleCloud(states=states, log_weights=np.full(n, -math.log(n)), t=0)
+    cloud = ParticleCloud(states=states, log_weights=_uniform_log_weights(n), t=0)
     for t, y in enumerate(ys.tolist()):
         cloud, diag = step(cloud, y, model, config, rng)
         filtered_mean[t] = float(cloud.weights.dot(cloud.states))
@@ -396,8 +408,10 @@ class LinearGaussianParams(AR1State):
         return np.asarray(h, dtype=float) + self.sigma_y * rng.standard_normal(np.shape(h))
 
     def observation_scale(self, h):
-        """Observation noise scale has no state dependence here: factor 1."""
-        return np.ones(np.shape(h))
+        """The observation noise scale does not depend on the state: the scalar
+        1.0 for any ``h``, which broadcasts in the filter's arithmetic and
+        leaves it exact (x / 1.0 and x - log(1.0) are x)."""
+        return 1.0
 
     def simulate(self, horizon: int, seed):
         """Simulate (x_{0:T}, y_{1:T}) with ``svm.simulate``."""

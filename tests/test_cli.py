@@ -129,6 +129,26 @@ def test_experiment_writes_summary_and_boxplot(cli):
     assert len(box_rows) == 1 + 15 * 2 * 3
 
 
+def _without_seconds(summary, box):
+    """The summary rows minus their ``seconds`` column and the boxplot rows
+    minus the ``seconds`` metric: every figure that is not a timing."""
+    summary_rows = [row[:7] + row[8:] for row in csv.reader(summary.open())]
+    box_rows = [row for row in csv.reader(box.open()) if row[5] != "seconds"]
+    return summary_rows, box_rows
+
+
+def test_experiment_outputs_do_not_depend_on_worker_count(cli):
+    # Each (replicate, cell) pair owns a derived seed, so spawned workers
+    # give the serial study's figures; only the timings differ.
+    outputs = []
+    for workers in (1, 2):
+        out, box = cli.dir / f"summary{workers}.csv", cli.dir / f"box{workers}.csv"
+        flags = dict(replicates=2, seed=99, horizon=5, out=out, boxplot_out=box, workers=workers)
+        assert main(cli.argv("experiment", **flags)) == EXIT_OK
+        outputs.append(_without_seconds(out, box))
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # Failures: one named case per cause, each checked by ``Cli.fails``
 # ---------------------------------------------------------------------------
@@ -213,6 +233,25 @@ def test_other_algorithms_flag_is_config_error(cli, flags):
 
 def test_bad_replicate_count_is_config_error(cli):
     cli.fails(EXIT_CONFIG, "experiment", "replicates", replicates=0)
+
+
+def test_bad_worker_count_is_config_error(cli):
+    cli.fails(EXIT_CONFIG, "experiment", "--workers must be >= 1", workers=0)
+
+
+def test_overflowing_model_fails_the_same_under_workers(cli):
+    # The overflow is raised in a spawned worker.  Run as a process, so the
+    # check sees the workers' stderr too: the command still prints one line.
+    cli.model(mu=70.6)
+    argv = cli.argv("experiment", replicates=2, horizon=2000, workers=2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.splitlines() == [
+        "numerical failure: 2 of 2000 simulated observations overflow"
+    ], proc.stderr
+    assert not cli.out.exists()
 
 
 @pytest.mark.parametrize(
@@ -312,4 +351,17 @@ def test_module_entry_point_runs_as_subprocess(cli):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert cli.out.exists()
+
+
+def test_module_entry_point_runs_a_study_on_spawned_workers(cli):
+    # __main__ runs the command without a __name__ guard; the spawned workers
+    # import it without running the study again.
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol", *cli.argv("experiment", replicates=2, workers=2)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert cli.out.exists()

@@ -370,6 +370,39 @@ def test_degenerate_cloud_resets_to_uniform_and_is_counted():
     assert out.degeneracy_count == 3
     assert np.allclose(out.ess_trace, n, atol=1e-6)
     assert np.all(np.isfinite(out.filtered_mean))
+    cloud = ParticleCloud(np.zeros(n), np.full(n, -math.log(n)))
+    reset, diag = abc_apf_step(cloud, 1e6, model, cfg, np.random.default_rng(3108))
+    assert diag.degenerate
+    assert reset.log_weights is filters_mod._uniform_log_weights(n)
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+def test_uniform_clouds_share_one_read_only_log_weight_array(scheme):
+    # A resampled cloud, a degenerate reset (above) and a run's prior cloud
+    # all take one read-only -log(n) array per cloud size.
+    n = 50
+    rng = np.random.default_rng(3109)
+    cloud = ParticleCloud(rng.normal(size=n), normalize(rng.normal(size=n)))
+    first, _ = resample(cloud, scheme, rng)
+    second, _ = resample(cloud, scheme, rng)
+    assert first.log_weights is second.log_weights
+    assert np.array_equal(first.log_weights, np.full(n, -math.log(n)))
+    with pytest.raises(ValueError, match="read-only"):
+        first.log_weights[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.log_weights += 1.0
+
+
+def test_run_starts_from_the_shared_uniform_log_weights():
+    # The prior cloud a run hands its first step is the shared uniform one.
+    priors = []
+
+    def first_step(cloud, y, model, config, rng):
+        priors.append(cloud)
+        return cloud, filters_mod.StepDiagnostics(False, False)
+
+    filters_mod._run(first_step, [0.1], LG, gauss_config(n=40), 3110)
+    assert priors[0].log_weights is filters_mod._uniform_log_weights(40)
 
 
 def test_ess_threshold_defaults_to_half_the_cloud():
@@ -473,34 +506,49 @@ _PINNED_SMC_MEAN = [
     "-0x1.a2dd53b99a010p+2", "-0x1.6ff5491cdd3b6p+2",
 ]
 _PINNED_SMC_ESS = ["0x1.fffffffffffffp+3"] * 8
+_PINNED_APF_LG_MEAN = [
+    "-0x1.ffb3c202d8354p+0", "-0x1.d9c9ceb2c628ep+0", "-0x1.97670e333637ap+0",
+    "-0x1.53b4c7d3c64d0p-1", "-0x1.aabadac25bf7dp-6", "-0x1.234705ed557ccp-1",
+    "-0x1.76bfaf0176f00p+0", "-0x1.beb059e37c9dcp+0",
+]
+_PINNED_APF_LG_ESS = [
+    "0x1.4d14ca7d10da6p+2", "0x1.bcb461752f7cdp+4", "0x1.4db9be79b67b5p+4",
+    "0x1.44f4c7c6b7b6bp+3", "0x1.5ad0551cfb59cp+3", "0x1.ae8ea007fc0b6p+3",
+    "0x1.5baefa3869252p+2", "0x1.02d3b7303aae5p+2",
+]
 
 
 def test_run_pinned_bytes():
-    # Regression pin of three whole runs (T=8, N=64), so a change to the
-    # draws or to how they pair with the particles fails here.
-    ys = simulate(svm_model(), 8, 3301).y
+    # Regression pin of four whole runs (T=8, N=64), so a change to the
+    # draws or to how they pair with the particles fails here.  The last
+    # runs the linear-Gaussian model, whose observation scale is constant.
+    svm_ys = simulate(svm_model(), 8, 3301).y
+    central_ess = FilterConfig(
+        64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
+        resample_policy="ess_threshold", resample_scheme="systematic",
+    )
     cases = [
         (
-            abc_apf_run,
+            abc_apf_run, svm_model(), svm_ys,
             FilterConfig(64, KernelSpec("gaussian", 0.25), ProposalSpec("shifted_t")),
             _PINNED_APF_SHIFTED_MEAN, _PINNED_APF_SHIFTED_ESS, 8,
         ),
         (
-            abc_apf_run,
-            FilterConfig(
-                64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
-                resample_policy="ess_threshold", resample_scheme="systematic",
-            ),
+            abc_apf_run, svm_model(), svm_ys, central_ess,
             _PINNED_APF_CENTRAL_MEAN, _PINNED_APF_CENTRAL_ESS, 7,
         ),
         (
-            abc_smc_run,
+            abc_smc_run, svm_model(), svm_ys,
             FilterConfig(64, KernelSpec("uniform", None), smc_percentile=0.25),
             _PINNED_SMC_MEAN, _PINNED_SMC_ESS, 7,
         ),
+        (
+            abc_apf_run, LG, LG.simulate(8, 3301)[1], central_ess,
+            _PINNED_APF_LG_MEAN, _PINNED_APF_LG_ESS, 7,
+        ),
     ]
-    for run, config, mean, ess_hex, resamples in cases:
-        out = run(ys, svm_model(), config, np.random.default_rng(3302))
+    for run, model, ys, config, mean, ess_hex, resamples in cases:
+        out = run(ys, model, config, np.random.default_rng(3302))
         assert [float(v).hex() for v in out.filtered_mean] == mean
         assert [float(v).hex() for v in out.ess_trace] == ess_hex
         assert out.resample_count == resamples
@@ -723,8 +771,9 @@ def test_kalman_static_state_limit_is_shrinkage_path():
 def test_linear_gaussian_observation_scale_is_one():
     # The bad parameters are the LinearGaussianParams rows of
     # test_svm.py::test_rejects_bad_parameters.
-    assert LG.observation_scale(3.7) == pytest.approx(1.0)
-    assert np.allclose(LG.observation_scale(np.array([-1.0, 2.0])), 1.0)
+    # A scalar for any state, which the APF step broadcasts.
+    assert LG.observation_scale(3.7) == 1.0
+    assert LG.observation_scale(np.array([-1.0, 2.0])) == 1.0
 
 
 # ---------------------------------------------------------------------------
