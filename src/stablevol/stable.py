@@ -84,12 +84,13 @@ def transform(x, params: StableParams):
     return g * x + d
 
 
-def sample(params: StableParams, rng, size=None):
-    """Draw variates from SD(alpha, beta, gamma, delta) by the CMS method.
+def sample(params: StableParams, rng, size):
+    """Draw variates of shape ``size`` from SD(alpha, beta, gamma, delta) by
+    the CMS method.
 
     ``rng`` must provide ``uniform`` and ``standard_exponential``
-    (``numpy.random.Generator`` does).  Returns an array of the requested
-    shape, and a numpy scalar or 0-d array for ``size=None`` or ``size=()``.
+    (``numpy.random.Generator`` does).  Returns an array of shape ``size``,
+    and a numpy scalar for ``size=()``.
     """
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)

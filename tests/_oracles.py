@@ -31,6 +31,10 @@ from stablevol.stable import StableParams
 # U=0.3, W=1.2 (pivot angle arctan(beta tan(pi alpha/2)) / alpha).
 CMS_ALPHA_HALF_VALUE = 1.1829059416793375
 
+# The alpha=1 branch of the same formula at beta=0.3, U=0.4, W=0.9, in 40-digit
+# arithmetic: (2/pi) [b tan U - beta log((pi/2) W cos U / b)], b = pi/2 + beta U.
+CMS_ALPHA_ONE_VALUE = 0.5049789980477782
+
 # Location correction of the alpha=1 output transform at gamma=e: (2/pi) e.
 TRANSFORM_ALPHA_ONE_E_SCALE = 1.7305119588645301
 
@@ -141,23 +145,3 @@ def ks_vs_stable_cdf(draws: np.ndarray, oracle: StableCdfInterpolant) -> float:
     """KS statistic of a sample against the interpolated reference CDF."""
     return float(stats.kstest(draws, oracle).statistic)
 
-
-class ScriptedRng:
-    """Stand-in rng handing out pre-chosen uniform/exponential draws.
-
-    Lets tests pin the exact (U, W) pair fed to the stable sampler.
-    """
-
-    def __init__(self, uniform_values, exponential_values):
-        self._uniform = list(uniform_values)
-        self._exponential = list(exponential_values)
-
-    def uniform(self, low, high, size=None):
-        val = self._uniform.pop(0)
-        if not (low <= val <= high):
-            raise AssertionError(f"scripted uniform {val} outside [{low}, {high}]")
-        return val if size is None else np.full(size, val)
-
-    def standard_exponential(self, size=None):
-        val = self._exponential.pop(0)
-        return val if size is None else np.full(size, val)

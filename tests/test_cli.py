@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ import stablevol.filters as filters_mod
 from stablevol.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stablevol.experiment import read_data_csv
 from stablevol.proposals import SeriesConvergenceError
+
+# Spawned commands import this checkout's package, not an installed one.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MODEL = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
 
@@ -58,6 +63,15 @@ class Cli:
             if value is not None
             for part in (f"--{name.replace('_', '-')}", str(value))
         ]
+
+    def run_module(self, command, **flags):
+        """Run ``python -m stablevol`` on ``command`` as a separate process."""
+        return subprocess.run(
+            [sys.executable, "-m", "stablevol", *self.argv(command, **flags)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
 
     def simulate(self, **flags):
         flags = {"seed": 11, "out": self.data, **flags}
@@ -137,16 +151,43 @@ def _without_seconds(summary, box):
     return summary_rows, box_rows
 
 
-def test_experiment_outputs_do_not_depend_on_worker_count(cli):
-    # Each (replicate, cell) pair owns a derived seed, so spawned workers
+# The study the entry-point tests spawn, and repeat in process.
+SPAWNED_STUDY = dict(replicates=2, seed=99)
+
+
+@pytest.fixture(scope="module")
+def spawned_study(tmp_path_factory):
+    """One ``python -m stablevol experiment --workers 2`` run, shared by the
+    entry-point tests: its process result and its summary and boxplot paths."""
+    spawned = Cli(tmp_path_factory.mktemp("spawned"), capsys=None)
+    outputs = spawned.out, spawned.dir / "box.csv"
+    proc = spawned.run_module(
+        "experiment", **SPAWNED_STUDY, boxplot_out=outputs[1], workers=2
+    )
+    return proc, outputs
+
+
+def test_module_entry_point_runs_as_subprocess(spawned_study):
+    proc, outputs = spawned_study
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert all(path.exists() for path in outputs)
+
+
+def test_module_entry_point_runs_a_study_on_spawned_workers(spawned_study):
+    # __main__ runs the command without a __name__ guard; the spawned workers
+    # import it without running the study again, so they print nothing.
+    proc, _ = spawned_study
+    assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+
+
+def test_experiment_outputs_do_not_depend_on_worker_count(cli, spawned_study):
+    # Each (replicate, cell) pair owns a derived seed, so the spawned workers
     # give the serial study's figures; only the timings differ.
-    outputs = []
-    for workers in (1, 2):
-        out, box = cli.dir / f"summary{workers}.csv", cli.dir / f"box{workers}.csv"
-        flags = dict(replicates=2, seed=99, horizon=5, out=out, boxplot_out=box, workers=workers)
-        assert main(cli.argv("experiment", **flags)) == EXIT_OK
-        outputs.append(_without_seconds(out, box))
-    assert outputs[0] == outputs[1]
+    proc, outputs = spawned_study
+    assert proc.returncode == EXIT_OK, proc.stderr
+    box = cli.dir / "box.csv"
+    assert main(cli.argv("experiment", **SPAWNED_STUDY, boxplot_out=box, workers=1)) == EXIT_OK
+    assert _without_seconds(*outputs) == _without_seconds(cli.out, box)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +284,7 @@ def test_overflowing_model_fails_the_same_under_workers(cli):
     # The overflow is raised in a spawned worker.  Run as a process, so the
     # check sees the workers' stderr too: the command still prints one line.
     cli.model(mu=70.6)
-    argv = cli.argv("experiment", replicates=2, horizon=2000, workers=2)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stablevol", *argv], capture_output=True, text=True
-    )
+    proc = cli.run_module("experiment", replicates=2, horizon=2000, workers=2)
     assert proc.returncode == EXIT_NUMERICAL
     assert proc.stderr.splitlines() == [
         "numerical failure: 2 of 2000 simulated observations overflow"
@@ -342,26 +380,3 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
-
-def test_module_entry_point_runs_as_subprocess(cli):
-    proc = subprocess.run(
-        [sys.executable, "-m", "stablevol", *cli.argv("simulate", seed=2)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert cli.out.exists()
-
-
-def test_module_entry_point_runs_a_study_on_spawned_workers(cli):
-    # __main__ runs the command without a __name__ guard; the spawned workers
-    # import it without running the study again.
-    proc = subprocess.run(
-        [sys.executable, "-m", "stablevol", *cli.argv("experiment", replicates=2, workers=2)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert cli.out.exists()

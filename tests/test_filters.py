@@ -57,7 +57,6 @@ def smc_config(percentile=0.25, n=500) -> FilterConfig:
     return FilterConfig(
         n_particles=n,
         kernel=KernelSpec("uniform", None),
-        proposal=ProposalSpec("shifted_t"),
         smc_percentile=percentile,
     )
 

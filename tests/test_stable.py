@@ -10,13 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stablevol.stable import StableParams, sample, transform
+from stablevol.stable import StableParams, _cms, sample, transform
 
 from _oracles import (
     CMS_ALPHA_HALF_VALUE,
+    CMS_ALPHA_ONE_VALUE,
     PDF_175_01_AT_1,
     TRANSFORM_ALPHA_ONE_E_SCALE,
-    ScriptedRng,
     cached_cdf_interpolant,
     char_fn,
     ks_critical,
@@ -56,22 +56,17 @@ def test_params_accepts_boundaries():
 # ---------------------------------------------------------------------------
 
 
-def test_char_fn_alpha_two_skew_term_vanishes():
-    val = char_fn(StableParams(2.0, 0.7, 1.0, 0.0), 1.0)
-    assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
-    # any beta yields the same law at alpha=2
-    assert char_fn(StableParams(2.0, -0.4, 1.0, 0.0), 1.0) == pytest.approx(val, abs=1e-14)
-
-
-def test_char_fn_at_zero_is_one():
-    for p in (StableParams(1.0, 0.5, 2.0, -1.0), StableParams(0.7, -0.9, 0.5, 4.0)):
-        assert char_fn(p, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
-
-
-def test_char_fn_cauchy_negative_argument():
-    assert char_fn(StableParams(1.0, 0.0, 1.0, 0.0), -2.0) == pytest.approx(
-        math.exp(-2.0), abs=1e-12
-    )
+@pytest.mark.parametrize(
+    "law, t, expected",
+    [
+        # At alpha = 2 the skew term vanishes: every beta gives N(0, 2).
+        pytest.param((2.0, 0.7, 1.0, 0.0), 1.0, math.exp(-1.0), id="normal-beta-0.7"),
+        pytest.param((2.0, -0.4, 1.0, 0.0), 1.0, math.exp(-1.0), id="normal-beta--0.4"),
+        pytest.param((1.0, 0.0, 1.0, 0.0), -2.0, math.exp(-2.0), id="cauchy-negative-t"),
+    ],
+)
+def test_char_fn_closed_form_values(law, t, expected):
+    assert char_fn(StableParams(*law), t) == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -119,52 +114,44 @@ def test_char_fn_symmetry_property(alpha, beta, gamma, delta, t):
 
 
 # ---------------------------------------------------------------------------
-# Sampler formula pinned through a scripted rng
+# Sampler formula: the CMS transform at chosen (U, W), and the output transform
 # ---------------------------------------------------------------------------
 
 
-def test_sampler_gaussian_branch_at_zero_angle():
-    rng = ScriptedRng(uniform_values=[0.0], exponential_values=[1.0])
-    assert sample(StableParams(2.0, 0.0, 1.0, 0.0), rng) == pytest.approx(0.0, abs=1e-15)
+@pytest.mark.parametrize(
+    "law, u, w, expected, tol",
+    [
+        pytest.param((2.0, 0.0, 1.0, 0.0), 0.0, 1.0, 0.0, 0.0, id="normal-zero-angle"),
+        # tan(pi / 4) reads 0.9999999999999999 in floating point.
+        pytest.param((1.0, 0.0, 1.0, 0.0), math.pi / 4, 17.3, 1.0, 1e-15, id="cauchy-tangent"),
+        pytest.param(
+            (0.5, 1.0, 1.0, 0.0), 0.3, 1.2, CMS_ALPHA_HALF_VALUE, 1e-12, id="skewed-half-stable"
+        ),
+        # Within ALPHA_ONE_BAND of alpha = 1 the alpha = 1 branch runs.
+        pytest.param(
+            (1.0 + 1e-12, 0.3, 1.0, 0.0), 0.4, 0.9, CMS_ALPHA_ONE_VALUE, 1e-12, id="guard-band"
+        ),
+    ],
+)
+def test_cms_values(law, u, w, expected, tol):
+    params = StableParams(*law)
+    assert abs(transform(_cms(params, u, w), params) - expected) <= tol
 
 
-def test_sampler_cauchy_branch_is_tangent():
-    rng = ScriptedRng(uniform_values=[math.pi / 4], exponential_values=[17.3])
-    assert sample(StableParams(1.0, 0.0, 1.0, 0.0), rng) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sampler_skewed_half_stable_frozen_value():
-    rng = ScriptedRng(uniform_values=[0.3], exponential_values=[1.2])
-    assert sample(StableParams(0.5, 1.0, 1.0, 0.0), rng) == pytest.approx(
-        CMS_ALPHA_HALF_VALUE, abs=1e-12
-    )
-
-
-def test_sampler_guard_band_routes_to_alpha_one_branch():
-    rng_a = ScriptedRng(uniform_values=[0.4], exponential_values=[0.9])
-    rng_b = ScriptedRng(uniform_values=[0.4], exponential_values=[0.9])
-    near_one = sample(StableParams(1.0 + 1e-12, 0.3, 1.0, 0.0), rng_a)
-    at_one = sample(StableParams(1.0, 0.3, 1.0, 0.0), rng_b)
-    assert near_one == at_one
-
-
-# ---------------------------------------------------------------------------
-# Output transform
-# ---------------------------------------------------------------------------
-
-
-def test_transform_affine_case():
-    assert transform(1.0, StableParams(1.5, 0.0, 2.0, 3.0)) == pytest.approx(5.0)
-
-
-def test_transform_alpha_one_log_term_vanishes_at_unit_scale():
-    assert transform(0.0, StableParams(1.0, 1.0, 1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_transform_alpha_one_log_term_at_scale_e():
-    assert transform(0.0, StableParams(1.0, 1.0, math.e, 0.0)) == pytest.approx(
-        TRANSFORM_ALPHA_ONE_E_SCALE, abs=1e-12
-    )
+@pytest.mark.parametrize(
+    "law, x, expected, tol",
+    [
+        pytest.param((1.5, 0.0, 2.0, 3.0), 1.0, 5.0, 1e-15, id="affine"),
+        # At alpha = 1 the location moves by beta (2 / pi) gamma log(gamma).
+        pytest.param((1.0, 1.0, 1.0, 0.0), 0.0, 0.0, 1e-15, id="alpha-one-unit-scale"),
+        pytest.param(
+            (1.0, 1.0, math.e, 0.0), 0.0, TRANSFORM_ALPHA_ONE_E_SCALE, 1e-12,
+            id="alpha-one-scale-e",
+        ),
+    ],
+)
+def test_transform_values(law, x, expected, tol):
+    assert abs(transform(x, StableParams(*law)) - expected) <= tol
 
 
 # ---------------------------------------------------------------------------
