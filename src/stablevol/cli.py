@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
-belongs to the other ``--algo``, and an output directory that does not exist
-or an output path that is a directory, both checked before any work), 3 on
-numerical failures (including an overflow, a filter run on an observation
+belongs to the other ``--algo``, and an output path that is bad: its directory
+does not exist, it is a directory, or it names the same file as ``--config``,
+``--data`` or the other output; output paths are checked before any work), 3
+on numerical failures (including an overflow, a filter run on an observation
 scale exp(h / 2) that overflows or underflows, and a filter run in which any
 step was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
 ``error: `` or ``numerical failure: `` line on stderr.
@@ -14,6 +15,7 @@ step was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -198,12 +200,27 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in filter(None, (args.out, getattr(args, "boxplot_out", None))):
-            # Checked first, so a bad path costs no work and leaves no output.
+        # Checked first, so a bad output path costs no work and leaves no output.
+        # realpath, unlike Path.resolve() before Python 3.13, does not raise on
+        # a symlink loop, which then fails as an OSError when it is opened.
+        named = {
+            "--config": args.config,
+            "--data": getattr(args, "data", None),
+            "--out": args.out,
+            "--boxplot-out": getattr(args, "boxplot_out", None),
+        }
+        files = {flag: os.path.realpath(path) for flag, path in named.items() if path}
+        for flag in ("--out", "--boxplot-out"):
+            path = named[flag]
+            if not path:
+                continue
             if not Path(path).parent.is_dir():
                 raise ValueError(f"the directory of {path} does not exist")
             if Path(path).is_dir():
                 raise ValueError(f"{path} is a directory, not a file")
+            for other, target in files.items():
+                if other != flag and target == files[flag]:
+                    raise ValueError(f"{flag} {path} is the same file as {other}")
         # An overflow surfaces as an inf that the handlers reject with an
         # exit code of their own, so numpy's warning would only repeat it.
         # The same holds for the APF's division by an observation scale that

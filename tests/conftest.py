@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 from hypothesis import HealthCheck, settings
-
-# Make the sibling _oracles helper importable regardless of invocation dir.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 settings.register_profile(
     "suite",
