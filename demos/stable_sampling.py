@@ -20,17 +20,17 @@ def main() -> None:
     rng = np.random.default_rng(42)
 
     print("== closed-form corners ==")
-    normal_draws = sample(StableParams(2.0, 0.0, 1.0, 0.0), rng, n)
+    normal_draws = sample(StableParams(2.0, 0.0, 1.0), rng, n)
     ks = scipy.stats.kstest(normal_draws, scipy.stats.norm(scale=np.sqrt(2)).cdf)
     print(f"alpha=2.0 vs Normal(0, 2):     KS D={ks.statistic:.4f}  p={ks.pvalue:.3f}")
 
-    cauchy_draws = sample(StableParams(1.0, 0.0, 1.0, 0.0), rng, n)
+    cauchy_draws = sample(StableParams(1.0, 0.0, 1.0), rng, n)
     ks = scipy.stats.kstest(cauchy_draws, scipy.stats.cauchy.cdf)
     print(f"alpha=1.0 vs standard Cauchy:  KS D={ks.statistic:.4f}  p={ks.pvalue:.3f}")
 
     print()
     print("== heavy-tailed asymmetric case (alpha=1.75, beta=0.1) ==")
-    params = StableParams(1.75, 0.1, 1.0, 0.0)
+    params = StableParams(1.75, 0.1, 1.0)
     draws = sample(params, rng, n)
     qs = np.percentile(draws, [1, 25, 50, 75, 99])
     # scipy's default parameterization, S1, is the one stablevol samples from.

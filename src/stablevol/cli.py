@@ -5,7 +5,8 @@ non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
 belongs to the other ``--algo``, and an output path that is bad: its directory
 does not exist, it is a directory, or it names the same file as ``--config``,
-``--data`` or the other output; output paths are checked before any work), 3
+``--data`` or the other output, by name or by a hard link; output paths are
+checked before any work), 3
 on numerical failures (including an overflow, a filter run on an observation
 scale exp(h / 2) that overflows or underflows, and a filter run in which any
 step was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
@@ -196,20 +197,28 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by device and inode when
+    both exist, so a hard link counts, else by resolved name.  Neither raises
+    on a symlink loop (``exists`` reads False for one, and realpath, unlike
+    Path.resolve() before Python 3.13, returns); the loop then fails as an
+    OSError when it is opened."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         # Checked first, so a bad output path costs no work and leaves no output.
-        # realpath, unlike Path.resolve() before Python 3.13, does not raise on
-        # a symlink loop, which then fails as an OSError when it is opened.
         named = {
             "--config": args.config,
             "--data": getattr(args, "data", None),
             "--out": args.out,
             "--boxplot-out": getattr(args, "boxplot_out", None),
         }
-        files = {flag: os.path.realpath(path) for flag, path in named.items() if path}
         for flag in ("--out", "--boxplot-out"):
             path = named[flag]
             if not path:
@@ -218,8 +227,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"the directory of {path} does not exist")
             if Path(path).is_dir():
                 raise ValueError(f"{path} is a directory, not a file")
-            for other, target in files.items():
-                if other != flag and target == files[flag]:
+            for other, target in named.items():
+                if other != flag and target and _same_file(path, target):
                     raise ValueError(f"{flag} {path} is the same file as {other}")
         # An overflow surfaces as an inf that the handlers reject with an
         # exit code of their own, so numpy's warning would only repeat it.

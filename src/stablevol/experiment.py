@@ -251,7 +251,7 @@ def reference_model() -> SvmParams:
         mu=-0.2,
         phi=0.95,
         sigma_h=0.6,
-        obs_noise=StableParams(alpha=1.75, beta=0.1, gamma=0.8, delta=0.0),
+        obs_noise=StableParams(alpha=1.75, beta=0.1, gamma=0.8),
     )
 
 
@@ -303,7 +303,7 @@ def sensitivity_models(sigma_h: float, sigma_v: float) -> tuple:
                     mu=0.0,
                     phi=0.9,
                     sigma_h=sigma_h,
-                    obs_noise=StableParams(alpha, beta, sigma_v, 0.0),
+                    obs_noise=StableParams(alpha, beta, sigma_v),
                 ),
             )
         )
@@ -356,7 +356,7 @@ def load_model_config(path) -> SvmParams:
         mu=values["mu"],
         phi=values["phi"],
         sigma_h=values["sigma_h"],
-        obs_noise=StableParams(values["alpha"], values["beta"], values["sigma_v"], 0.0),
+        obs_noise=StableParams(values["alpha"], values["beta"], values["sigma_v"]),
     )
 
 

@@ -3,12 +3,14 @@
 State (log-volatility) and observation equations:
 
     h_t = mu + phi h_{t-1} + sigma_h w_t,      w_t ~ N(0, 1)
-    y_t = exp(h_t / 2) v_t,                    v_t ~ SD(alpha, beta, sigma_v, 0)
+    y_t = exp(h_t / 2) v_t,                    v_t ~ SD(alpha, beta, sigma_v)
 
 with |phi| < 1 and h_0 drawn from the stationary law
 N(mu / (1 - phi), sigma_h^2 / (1 - phi^2)).  The state equation lives in
 ``AR1State``, which the linear-Gaussian benchmark model shares; its
-constructor rejects every parameter outside that stationary domain.
+constructor rejects every parameter outside that stationary domain.  The
+centred stable noise v_t is drawn by ``stable.sample`` (see ``stable`` for its
+characteristic function).
 """
 
 from __future__ import annotations
@@ -82,11 +84,6 @@ class SvmParams(AR1State):
     """Parameters of the stable-noise stochastic volatility model."""
 
     obs_noise: StableParams
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.obs_noise.delta != 0.0:
-            raise ValueError("obs_noise must be centered (delta = 0)")
 
     def observe_sample(self, h, rng):
         """Draw y_t | h_t = h = exp(h/2) v with stable v."""

@@ -35,7 +35,7 @@ CMS_ALPHA_HALF_VALUE = 1.1829059416793375
 # arithmetic: (2/pi) [b tan U - beta log((pi/2) W cos U / b)], b = pi/2 + beta U.
 CMS_ALPHA_ONE_VALUE = 0.5049789980477782
 
-# Location correction of the alpha=1 output transform at gamma=e: (2/pi) e.
+# Location term of the alpha=1 draw at beta=1, gamma=e: (2/pi) e log e = (2/pi) e.
 TRANSFORM_ALPHA_ONE_E_SCALE = 1.7305119588645301
 
 # Student t with 2 degrees of freedom: log f(0) = log(1/(2 sqrt 2)) and
@@ -52,7 +52,7 @@ LOG_NCT_DOF2_NC15_AT_2 = -1.4713814406558208
 KALMAN3_MEANS = (4.0 / 7.0, -2.0 / 5.0, 31.0 / 32.0)
 KALMAN3_VARS = (4.0 / 7.0, 8.0 / 15.0, 17.0 / 32.0)
 
-# Stable density at x=1 for (alpha=1.75, beta=0.1, gamma=1, delta=0), from
+# Stable density at x=1 for (alpha=1.75, beta=0.1, gamma=1), from
 # adaptive quadrature of the inversion integral with an independent rule
 # (est. error ~4e-9).
 PDF_175_01_AT_1 = 0.20725058561652046
@@ -73,7 +73,7 @@ def char_fn(params: StableParams, t):
     Returns what numpy returns: a complex array, and a numpy complex scalar or
     0-d array for scalar t.
     """
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    a, b, g = params.alpha, params.beta, params.gamma
     t = np.asarray(t, dtype=float)
     at, sgn = np.abs(t), np.sign(t)
     if params.is_alpha_one:
@@ -83,16 +83,16 @@ def char_fn(params: StableParams, t):
     else:
         skew = b * math.tan(np.pi * a / 2.0) * sgn
         scale = (g * at) ** a
-    return np.exp(-scale * (1.0 - 1j * skew) + 1j * d * t)
+    return np.exp(-scale * (1.0 - 1j * skew))
 
 
 def _cdf_tail(params: StableParams, x: np.ndarray) -> np.ndarray:
-    """One-term power-law tail of the CDF away from delta: the mass beyond
-    x is C_alpha (1 +- beta) |(x - delta) / gamma|^(-alpha), with
+    """One-term power-law tail of the CDF away from 0: the mass beyond
+    x is C_alpha (1 +- beta) |x / gamma|^(-alpha), with
     C_alpha = Gamma(alpha) sin(pi alpha / 2) / pi."""
     a = params.alpha
     c = math.gamma(a) * math.sin(np.pi * a / 2.0) / np.pi
-    z = (x - params.delta) / params.gamma
+    z = x / params.gamma
     side = np.where(z > 0.0, 1.0 + params.beta, 1.0 - params.beta)
     mass = np.minimum(1.0, c * side * np.abs(z) ** -a)
     return np.where(z > 0.0, 1.0 - mass, mass)
@@ -101,7 +101,7 @@ def _cdf_tail(params: StableParams, x: np.ndarray) -> np.ndarray:
 class StableCdfInterpolant:
     """Fast vectorized stable CDF built from a fixed grid.
 
-    scipy's ``levy_stable`` CDF values are taken on ``x = delta + gamma tan(u)``
+    scipy's ``levy_stable`` CDF values are taken on ``x = gamma tan(u)``
     for uniformly spaced u out to a standardized radius max(60, 10^(2.5/alpha))
     and interpolated monotonically in u; points beyond the grid use the
     one-term power-law tail.
@@ -111,10 +111,8 @@ class StableCdfInterpolant:
         u_max = math.atan(max(60.0, 10.0 ** (2.5 / params.alpha)))
         self.params = params
         u = np.linspace(-u_max, u_max, n_grid)
-        xs = params.delta + params.gamma * np.tan(u)
-        values = stats.levy_stable.cdf(
-            xs, params.alpha, params.beta, loc=params.delta, scale=params.gamma
-        )
+        xs = params.gamma * np.tan(u)
+        values = stats.levy_stable.cdf(xs, params.alpha, params.beta, scale=params.gamma)
         self.lo, self.hi = float(xs[0]), float(xs[-1])
         self._interp = PchipInterpolator(u, values)
 
@@ -122,18 +120,18 @@ class StableCdfInterpolant:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(x.shape)
         inside = (x >= self.lo) & (x <= self.hi)
-        z = (x[inside] - self.params.delta) / self.params.gamma
+        z = x[inside] / self.params.gamma
         out[inside] = self._interp(np.arctan(z))
         out[~inside] = _cdf_tail(self.params, x[~inside])
         return np.clip(out, 0.0, 1.0)
 
 
 def cached_cdf_interpolant(
-    alpha: float, beta: float, gamma: float = 1.0, delta: float = 0.0, n_grid: int = 301
+    alpha: float, beta: float, gamma: float = 1.0, n_grid: int = 301
 ) -> StableCdfInterpolant:
     """Session-cached interpolants (grid construction is the slow part), one
     per law and grid size however the call spells its arguments."""
-    return _interpolant(StableParams(alpha, beta, gamma, delta), n_grid)
+    return _interpolant(StableParams(alpha, beta, gamma), n_grid)
 
 
 @functools.lru_cache(maxsize=None)

@@ -141,13 +141,13 @@ def tail_sweep():
 def test_criterion_1_sampler_matches_closed_forms(capsys):
     start = time.perf_counter()
     normal_draws = sample(
-        StableParams(2.0, 0.0, 1.0, 0.0), np.random.default_rng(1003), N_DRAWS
+        StableParams(2.0, 0.0, 1.0), np.random.default_rng(1003), N_DRAWS
     )
     d_normal = scipy.stats.kstest(
         normal_draws, scipy.stats.norm(scale=np.sqrt(2.0)).cdf
     ).statistic
     cauchy_draws = sample(
-        StableParams(1.0, 0.0, 1.0, 0.0), np.random.default_rng(2004), N_DRAWS
+        StableParams(1.0, 0.0, 1.0), np.random.default_rng(2004), N_DRAWS
     )
     d_cauchy = scipy.stats.kstest(cauchy_draws, scipy.stats.cauchy.cdf).statistic
     elapsed = time.perf_counter() - start
@@ -170,7 +170,7 @@ def test_criterion_2_sampler_matches_quadrature_cdf(capsys):
     stats = {}
     for alpha, beta in [(1.75, 0.1), (1.2, 0.3), (0.8, -0.2)]:
         rng = np.random.default_rng(int(1000 * alpha + 100 * beta))
-        draws = sample(StableParams(alpha, beta, 1.0, 0.0), rng, N_DRAWS)
+        draws = sample(StableParams(alpha, beta, 1.0), rng, N_DRAWS)
         oracle = cached_cdf_interpolant(alpha, beta, n_grid=401)
         stats[(alpha, beta)] = ks_vs_stable_cdf(draws, oracle)
     elapsed = time.perf_counter() - start

@@ -279,6 +279,8 @@ def test_overflowing_model_fails_the_same_under_workers(cli):
         ("filter", "out", "data.csv", "same file as --data"),
         ("simulate", "out", "model.json", "same file as --config"),
         ("experiment", "boxplot_out", "out.csv", "same file as --boxplot-out"),
+        # A hard link is the same file under another name.
+        ("filter", "out", "link.csv", "same file as --data"),
     ],
     ids=[
         "simulate-out",
@@ -288,6 +290,7 @@ def test_overflowing_model_fails_the_same_under_workers(cli):
         "filter-out-is-data",
         "simulate-out-is-config",
         "experiment-boxplot_out-is-out",
+        "filter-out-is-hard-link-to-data",
     ],
 )
 def test_missing_output_directory_stops_command_before_any_work(
@@ -296,8 +299,10 @@ def test_missing_output_directory_stops_command_before_any_work(
     # Every output path is checked before the command runs: a study whose
     # boxplot path is bad does not write its summary either, and a filter
     # stops on its output path before it finds its data file missing.
-    if path == "data.csv":
+    if path in ("data.csv", "link.csv"):
         cli.simulate()
+    if path == "link.csv":
+        os.link(cli.data, cli.dir / path)
     cli.fails(EXIT_CONFIG, command, fragment, **{flag: cli.dir / path})
 
 

@@ -145,7 +145,7 @@ def test_reference_model_parameters():
     m = reference_model()
     assert (m.mu, m.phi, m.sigma_h) == (-0.2, 0.95, 0.6)
     assert (m.obs_noise.alpha, m.obs_noise.beta) == (1.75, 0.1)
-    assert (m.obs_noise.gamma, m.obs_noise.delta) == (0.8, 0.0)
+    assert m.obs_noise.gamma == 0.8
 
 
 def test_benchmark_grid_shape():

@@ -43,7 +43,7 @@ def svm_model(**kw) -> SvmParams:
         args["mu"],
         args["phi"],
         args["sigma_h"],
-        StableParams(args["alpha"], args["beta"], args["sigma_v"], 0.0),
+        StableParams(args["alpha"], args["beta"], args["sigma_v"]),
     )
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stablevol.stable import StableParams, _cms, sample, transform
+from stablevol.stable import StableParams, _cms, sample
 
 from _oracles import (
     CMS_ALPHA_HALF_VALUE,
@@ -43,12 +43,12 @@ from _oracles import (
 )
 def test_params_rejects_out_of_domain(alpha, beta, gamma):
     with pytest.raises(ValueError):
-        StableParams(alpha, beta, gamma, 0.0)
+        StableParams(alpha, beta, gamma)
 
 
 def test_params_accepts_boundaries():
-    StableParams(2.0, 1.0, 1e-300, -3.0)
-    StableParams(0.1, -1.0, 2.5, 0.0)
+    StableParams(2.0, 1.0, 1e-300)
+    StableParams(0.1, -1.0, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +60,9 @@ def test_params_accepts_boundaries():
     "law, t, expected",
     [
         # At alpha = 2 the skew term vanishes: every beta gives N(0, 2).
-        pytest.param((2.0, 0.7, 1.0, 0.0), 1.0, math.exp(-1.0), id="normal-beta-0.7"),
-        pytest.param((2.0, -0.4, 1.0, 0.0), 1.0, math.exp(-1.0), id="normal-beta--0.4"),
-        pytest.param((1.0, 0.0, 1.0, 0.0), -2.0, math.exp(-2.0), id="cauchy-negative-t"),
+        pytest.param((2.0, 0.7, 1.0), 1.0, math.exp(-1.0), id="normal-beta-0.7"),
+        pytest.param((2.0, -0.4, 1.0), 1.0, math.exp(-1.0), id="normal-beta--0.4"),
+        pytest.param((1.0, 0.0, 1.0), -2.0, math.exp(-2.0), id="cauchy-negative-t"),
     ],
 )
 def test_char_fn_closed_form_values(law, t, expected):
@@ -72,11 +72,11 @@ def test_char_fn_closed_form_values(law, t, expected):
 @pytest.mark.parametrize(
     "params",
     [
-        StableParams(1.75, 0.1, 0.8, 0.0),
-        StableParams(1.2, 0.3, 1.0, -0.7),
-        StableParams(0.8, -0.2, 2.0, 1.5),
-        StableParams(1.0, 0.9, 1.3, 0.4),
-        StableParams(2.0, 0.0, 1.0, 0.0),
+        StableParams(1.75, 0.1, 0.8),
+        StableParams(1.2, 0.3, 1.0),
+        StableParams(0.8, -0.2, 2.0),
+        StableParams(1.0, 0.9, 1.3),
+        StableParams(2.0, 0.0, 1.0),
     ],
 )
 def test_char_fn_conjugate_symmetry_and_bound(params):
@@ -95,63 +95,54 @@ def test_char_fn_conjugate_symmetry_and_bound(params):
     alpha=st.floats(0.1, 2.0),
     beta=st.floats(-1.0, 1.0),
     gamma=st.floats(0.25, 4.0),
-    delta=st.floats(-5.0, 5.0),
     t=st.floats(-50.0, 50.0),
 )
-@example(1.0, 0.5, 2.0, -1.0, 1e-3)
-@example(0.7, -0.9, 0.5, 4.0, 3.0)
-def test_char_fn_symmetry_property(alpha, beta, gamma, delta, t):
+@example(1.0, 0.5, 2.0, 1e-3)
+@example(0.7, -0.9, 0.5, 3.0)
+def test_char_fn_symmetry_property(alpha, beta, gamma, t):
     # The fixed-law checks above, over drawn laws.  A flipped skew term still
-    # passes them, so the Levy law S(1/2, 1, gamma, delta), with closed form
-    # exp(i delta t - sqrt(-2 i gamma t)), pins it.
-    params = StableParams(alpha, beta, gamma, delta)
+    # passes them, so the Levy law S(1/2, 1, gamma), with closed form
+    # exp(-sqrt(-2 i gamma t)), pins it.
+    params = StableParams(alpha, beta, gamma)
     assert char_fn(params, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
     phi = char_fn(params, t)
     assert abs(phi) <= 1.0
     assert char_fn(params, -t) == pytest.approx(np.conj(phi), abs=1e-12)
-    levy = char_fn(StableParams(0.5, 1.0, gamma, delta), t)
-    assert levy == pytest.approx(np.exp(1j * delta * t - np.sqrt(-2j * gamma * t)), abs=1e-12)
+    levy = char_fn(StableParams(0.5, 1.0, gamma), t)
+    assert levy == pytest.approx(np.exp(-np.sqrt(-2j * gamma * t)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Sampler formula: the CMS transform at chosen (U, W), and the output transform
+# Sampler formula: the CMS transform at chosen (U, W)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "law, u, w, expected, tol",
     [
-        pytest.param((2.0, 0.0, 1.0, 0.0), 0.0, 1.0, 0.0, 0.0, id="normal-zero-angle"),
+        pytest.param((2.0, 0.0, 1.0), 0.0, 1.0, 0.0, 0.0, id="normal-zero-angle"),
         # tan(pi / 4) reads 0.9999999999999999 in floating point.
-        pytest.param((1.0, 0.0, 1.0, 0.0), math.pi / 4, 17.3, 1.0, 1e-15, id="cauchy-tangent"),
+        pytest.param((1.0, 0.0, 1.0), math.pi / 4, 17.3, 1.0, 1e-15, id="cauchy-tangent"),
         pytest.param(
-            (0.5, 1.0, 1.0, 0.0), 0.3, 1.2, CMS_ALPHA_HALF_VALUE, 1e-12, id="skewed-half-stable"
+            (0.5, 1.0, 1.0), 0.3, 1.2, CMS_ALPHA_HALF_VALUE, 1e-12, id="skewed-half-stable"
         ),
+        # Away from alpha = 1 the scale only multiplies the standard draw.
+        pytest.param((0.5, 1.0, 2.5), 0.3, 1.2, 2.5 * CMS_ALPHA_HALF_VALUE, 1e-12, id="scale"),
         # Within ALPHA_ONE_BAND of alpha = 1 the alpha = 1 branch runs.
         pytest.param(
-            (1.0 + 1e-12, 0.3, 1.0, 0.0), 0.4, 0.9, CMS_ALPHA_ONE_VALUE, 1e-12, id="guard-band"
+            (1.0 + 1e-12, 0.3, 1.0), 0.4, 0.9, CMS_ALPHA_ONE_VALUE, 1e-12, id="guard-band"
         ),
-    ],
-)
-def test_cms_values(law, u, w, expected, tol):
-    params = StableParams(*law)
-    assert abs(transform(_cms(params, u, w), params) - expected) <= tol
-
-
-@pytest.mark.parametrize(
-    "law, x, expected, tol",
-    [
-        pytest.param((1.5, 0.0, 2.0, 3.0), 1.0, 5.0, 1e-15, id="affine"),
-        # At alpha = 1 the location moves by beta (2 / pi) gamma log(gamma).
-        pytest.param((1.0, 1.0, 1.0, 0.0), 0.0, 0.0, 1e-15, id="alpha-one-unit-scale"),
+        # At alpha = 1 the location moves by beta (2 / pi) gamma log(gamma).  The
+        # standard draw is exactly 0 at U = 0, W = 1, so these rows read that term.
+        pytest.param((1.0, 1.0, 1.0), 0.0, 1.0, 0.0, 0.0, id="alpha-one-unit-scale"),
         pytest.param(
-            (1.0, 1.0, math.e, 0.0), 0.0, TRANSFORM_ALPHA_ONE_E_SCALE, 1e-12,
+            (1.0, 1.0, math.e), 0.0, 1.0, TRANSFORM_ALPHA_ONE_E_SCALE, 1e-15,
             id="alpha-one-scale-e",
         ),
     ],
 )
-def test_transform_values(law, x, expected, tol):
-    assert abs(transform(x, StableParams(*law)) - expected) <= tol
+def test_cms_values(law, u, w, expected, tol):
+    assert abs(_cms(StableParams(*law), u, w) - expected) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +152,14 @@ def test_transform_values(law, x, expected, tol):
 
 def test_sample_alpha_two_moments():
     rng = np.random.default_rng(1001)
-    draws = sample(StableParams(2.0, 0.0, 1.0, 0.0), rng, size=1_000_000)
+    draws = sample(StableParams(2.0, 0.0, 1.0), rng, size=1_000_000)
     assert np.mean(draws) == pytest.approx(0.0, abs=0.01)
     assert np.var(draws) == pytest.approx(2.0, abs=0.05)
 
 
 def test_sample_cauchy_quartiles():
     rng = np.random.default_rng(1002)
-    draws = sample(StableParams(1.0, 0.0, 1.0, 0.0), rng, size=1_000_000)
+    draws = sample(StableParams(1.0, 0.0, 1.0), rng, size=1_000_000)
     q1, q3 = np.quantile(draws, [0.25, 0.75])
     assert q1 == pytest.approx(-1.0, abs=0.02)
     assert q3 == pytest.approx(1.0, abs=0.02)
@@ -182,11 +173,11 @@ def test_sample_cauchy_quartiles():
 @pytest.mark.parametrize(
     "law, seed, closed_form",
     [
-        pytest.param((2.0, 0.0, 0.7, 0.3), 1003, stats.norm(0.3, 0.7 * 2**0.5), id="normal"),
-        pytest.param((1.0, 0.0, 2.0, -1.0), 2004, stats.cauchy(-1.0, 2.0), id="cauchy"),
-        pytest.param((1.75, 0.1, 0.8, 0.0), 1005, None, id="experiment-noise"),
+        pytest.param((2.0, 0.0, 0.7), 1003, stats.norm(0.0, 0.7 * 2**0.5), id="normal"),
+        pytest.param((1.0, 0.0, 2.0), 2004, stats.cauchy(0.0, 2.0), id="cauchy"),
+        pytest.param((1.75, 0.1, 0.8), 1005, None, id="experiment-noise"),
         *[
-            pytest.param((a, b, 1.0, 0.0), int(1000 * a + 100 * b), None, id=f"{a}-{b}")
+            pytest.param((a, b, 1.0), int(1000 * a + 100 * b), None, id=f"{a}-{b}")
             for a in (1.75, 1.2, 0.8)
             for b in (0.0, 0.5)
         ],
@@ -248,7 +239,7 @@ def test_reference_law_closed_form_values(law, x, oracle, expected, tol):
 # Every interpolant a KS test builds: criterion 2's three laws at n_grid 401,
 # and the KS table's six laws and the observation noise at 301.
 _KS_INTERPOLANTS = [
-    pytest.param((a, b, g, 0.0), n, id=f"{a}-{b}-{g}-{n}")
+    pytest.param((a, b, g), n, id=f"{a}-{b}-{g}-{n}")
     for a, b, g, n in [
         (1.75, 0.1, 1.0, 401), (1.2, 0.3, 1.0, 401), (0.8, -0.2, 1.0, 401),
         *[(a, b, 1.0, 301) for a in (1.75, 1.2, 0.8) for b in (0.0, 0.5)],
@@ -275,7 +266,7 @@ def test_interpolant_meets_power_law_tail_at_grid_edges(law, n_grid):
 
 
 def test_empirical_char_fn_matches_analytic():
-    params = StableParams(1.3, -0.4, 1.0, 0.5)
+    params = StableParams(1.3, -0.4, 1.5)
     draws = sample(params, np.random.default_rng(1007), size=200_000)
     for t in (0.3, 1.0, 2.0):
         emp = np.mean(np.exp(1j * t * draws))

@@ -20,10 +20,8 @@ from _oracles import (
 )
 
 
-def make_params(
-    mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8, delta=0.0
-) -> SvmParams:
-    return SvmParams(mu, phi, sigma_h, StableParams(alpha, beta, sigma_v, delta))
+def make_params(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8) -> SvmParams:
+    return SvmParams(mu, phi, sigma_h, StableParams(alpha, beta, sigma_v))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ _AR1_ROWS = [
     dict(sigma_h=1e160),  # a stationary variance that overflows (sigma_h**2 raises)
 ]
 _OWN_ROWS = {
-    make_params: [dict(delta=0.5)],  # observation noise that is not centred
+    make_params: [],  # SvmParams adds no check to AR1State's
     make_lg: [dict(sigma_y=0.0), dict(sigma_y=math.inf), dict(sigma_y=1e160)],
 }
 
@@ -227,5 +225,5 @@ def test_rescaled_residuals_recover_observation_noise_law():
     params = make_params()
     traj = simulate(params, 100_000, 2112)
     residuals = traj.y / np.exp(traj.h[1:] / 2.0)
-    oracle = cached_cdf_interpolant(1.75, 0.1, 0.8, 0.0)
+    oracle = cached_cdf_interpolant(1.75, 0.1, 0.8)
     assert ks_vs_stable_cdf(residuals, oracle) < ks_critical(len(residuals))
