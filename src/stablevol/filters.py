@@ -190,8 +190,9 @@ class FilterConfig:
 
     Both runners read ``n_particles`` and the ``resample_*`` fields.  The
     ABC-APF also reads ``proposal`` and ``kernel`` (kind and ``epsilon``) and
-    ignores ``smc_percentile``; ABC-SMC reads ``smc_percentile``, requires a
-    uniform ``kernel`` and ignores ``proposal`` and ``kernel.epsilon``.
+    ignores ``smc_percentile``; ABC-SMC reads ``smc_percentile`` and ignores
+    ``proposal``.  ABC-SMC sets its tolerance per step, so its ``kernel``
+    must be ``KernelSpec("uniform", None)``.
     """
 
     n_particles: int
@@ -376,8 +377,11 @@ def abc_apf_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
 
 def abc_smc_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
     """Run the adaptive-tolerance ABC-SMC baseline over a full record."""
-    if config.kernel.kind != "uniform":
-        raise ValueError("abc_smc_run uses a uniform kernel with per-step tolerance")
+    if config.kernel != KernelSpec("uniform", None):
+        raise ValueError(
+            "abc_smc_run sets the tolerance per step: its kernel must be "
+            f"KernelSpec('uniform', None), got {config.kernel}"
+        )
     return _run(abc_smc_step, ys, model, config, rng)
 
 

@@ -90,7 +90,8 @@ class SvmParams(AR1State):
         size = np.shape(h)
         v = stable_sample(self.obs_noise, rng, size)
         # The scalar branch generates simulated data: numpy's exp differs from
-        # math.exp in the last bit on some inputs, so it would change datasets.
+        # math.exp in the last bit on some inputs, so it would change datasets,
+        # which the golden digest's simulate/* groups pin.
         return self.observation_scale(h) * v if size else math.exp(h / 2.0) * v
 
     def observation_scale(self, h):

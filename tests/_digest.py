@@ -1,5 +1,10 @@
 """Golden digest of the package's outputs: what "the same answers" means.
 
+It is the suite's only byte-level pin of outputs: every other test checks a
+property, an oracle or a reference.  (``test_log_phat_pinned_bits`` pins
+single density values, to reach and count the non-central t's quadrature
+fallback, which no group at these sizes takes.)
+
 Each named group runs one part of the package at a small size (T <= 20,
 N <= 128) and hashes what it returns with SHA-256:
 

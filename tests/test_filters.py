@@ -479,81 +479,6 @@ def test_run_equals_hand_driven_step(model, step, run, config):
         assert out.resample_count == len(ys) - 1
 
 
-_PINNED_APF_SHIFTED_MEAN = [
-    "-0x1.6011e98d3874ap+2", "-0x1.6f9c82b710bc2p+2", "-0x1.814548e319840p+2",
-    "-0x1.be2a900441674p+2", "-0x1.7f57ca9de5489p+1", "-0x1.abd15d7033771p+1",
-    "-0x1.56a0f256e7671p+2", "-0x1.42cebd7156476p+2",
-]
-_PINNED_APF_SHIFTED_ESS = [
-    "0x1.b5561d7117ce4p+1", "0x1.96871c456061ap+3", "0x1.635460ab5ca22p+3",
-    "0x1.d6690200748aep+1", "0x1.cb6a9d1f5c7cbp+0", "0x1.7939de8a94427p+2",
-    "0x1.c62513af20767p+1", "0x1.18c171f8a6db2p+2",
-]
-_PINNED_APF_CENTRAL_MEAN = [
-    "-0x1.4ca16d58168f8p+2", "-0x1.5d5b3f2ff2c03p+2", "-0x1.a62df1efa42b6p+2",
-    "-0x1.51b434fc7bbfap+2", "-0x1.278fbae40ecd5p+2", "-0x1.1dbf1cc231922p+2",
-    "-0x1.1509339f295bep+2", "-0x1.178c871075da2p+2",
-]
-_PINNED_APF_CENTRAL_ESS = [
-    "0x1.dccc6e2515199p+3", "0x1.ad87ded9cfdbep+2", "0x1.324f6c6c391b3p+3",
-    "0x1.7f4e9f6987cf8p+2", "0x1.4501c8d2db7b1p+2", "0x1.fc229c63df904p+3",
-    "0x1.13bdad2f81dcap+4", "0x1.e5d30aca8b8e0p+2",
-]
-_PINNED_SMC_MEAN = [
-    "-0x1.71727331204c2p+2", "-0x1.af3108f4f4726p+2", "-0x1.056af18c02708p+3",
-    "-0x1.ebcea153615bcp+2", "-0x1.bfa472348bbbap+2", "-0x1.98081ae8c20b7p+2",
-    "-0x1.a2dd53b99a010p+2", "-0x1.6ff5491cdd3b6p+2",
-]
-_PINNED_SMC_ESS = ["0x1.fffffffffffffp+3"] * 8
-_PINNED_APF_LG_MEAN = [
-    "-0x1.ffb3c202d8354p+0", "-0x1.d9c9ceb2c628ep+0", "-0x1.97670e333637ap+0",
-    "-0x1.53b4c7d3c64d0p-1", "-0x1.aabadac25bf7dp-6", "-0x1.234705ed557ccp-1",
-    "-0x1.76bfaf0176f00p+0", "-0x1.beb059e37c9dcp+0",
-]
-_PINNED_APF_LG_ESS = [
-    "0x1.4d14ca7d10da6p+2", "0x1.bcb461752f7cdp+4", "0x1.4db9be79b67b5p+4",
-    "0x1.44f4c7c6b7b6bp+3", "0x1.5ad0551cfb59cp+3", "0x1.ae8ea007fc0b6p+3",
-    "0x1.5baefa3869252p+2", "0x1.02d3b7303aae5p+2",
-]
-
-
-def test_run_pinned_bytes():
-    # Regression pin of four whole runs (T=8, N=64), so a change to the
-    # draws or to how they pair with the particles fails here.  The last
-    # runs the linear-Gaussian model, whose observation scale is constant.
-    svm_ys = simulate(svm_model(), 8, 3301).y
-    central_ess = FilterConfig(
-        64, KernelSpec("gaussian", 0.25), ProposalSpec("central_t"),
-        resample_policy="ess_threshold", resample_scheme="systematic",
-    )
-    cases = [
-        (
-            abc_apf_run, svm_model(), svm_ys,
-            FilterConfig(64, KernelSpec("gaussian", 0.25), ProposalSpec("shifted_t")),
-            _PINNED_APF_SHIFTED_MEAN, _PINNED_APF_SHIFTED_ESS, 8,
-        ),
-        (
-            abc_apf_run, svm_model(), svm_ys, central_ess,
-            _PINNED_APF_CENTRAL_MEAN, _PINNED_APF_CENTRAL_ESS, 7,
-        ),
-        (
-            abc_smc_run, svm_model(), svm_ys,
-            FilterConfig(64, KernelSpec("uniform", None), smc_percentile=0.25),
-            _PINNED_SMC_MEAN, _PINNED_SMC_ESS, 7,
-        ),
-        (
-            abc_apf_run, LG, LG.simulate(8, 3301)[1], central_ess,
-            _PINNED_APF_LG_MEAN, _PINNED_APF_LG_ESS, 7,
-        ),
-    ]
-    for run, model, ys, config, mean, ess_hex, resamples in cases:
-        out = run(ys, model, config, np.random.default_rng(3302))
-        assert [float(v).hex() for v in out.filtered_mean] == mean
-        assert [float(v).hex() for v in out.ess_trace] == ess_hex
-        assert out.resample_count == resamples
-        assert out.degeneracy_count == 0
-
-
 @pytest.fixture
 def ess_calls(monkeypatch):
     """A list that grows by one per call of the module-level ``filters.ess``."""
@@ -703,9 +628,12 @@ def test_high_signal_to_noise_tracks_log_squared_observations():
 
 
 def test_smc_requires_uniform_kernel():
-    model = svm_model()
-    with pytest.raises(ValueError):
-        abc_smc_run([0.1], model, gauss_config(n=100), np.random.default_rng(0))
+    # The tolerance is set per step, so a configured bandwidth would be
+    # ignored while GridCell.label still printed it into the study seeds.
+    for kernel in (KernelSpec("gaussian", 0.25), KernelSpec("uniform", 0.3)):
+        config = FilterConfig(100, kernel, smc_percentile=0.25)
+        with pytest.raises(ValueError, match="tolerance per step"):
+            abc_smc_run([0.1], svm_model(), config, np.random.default_rng(0))
 
 
 def test_smc_non_finite_tolerance_is_numerical_failure():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stablevol.experiment import reference_model
 from stablevol.filters import LinearGaussianParams
 from stablevol.stable import StableParams
 from stablevol.svm import SvmParams, Trajectory, simulate
@@ -174,45 +173,6 @@ def test_simulate_shapes_and_finiteness():
 def test_simulate_rejects_empty_horizon():
     with pytest.raises(ValueError):
         simulate(make_params(), 0, 1)
-
-
-# Regression pin, not an independent oracle: the bytes below were recorded from
-# the simulator itself.  They fix the simulated datasets, so any change to the
-# RNG consumption order or to the arithmetic (e.g. numpy's exp in place of
-# math.exp in SvmParams.observe_sample) shows up here.
-_PINNED_SVM_H = [
-    "-0x1.40b401dd78be0p-4", "-0x1.cecab9dcf70b3p+0", "-0x1.18308ac4cf595p+1",
-    "-0x1.3597b0e8d43cdp+1", "-0x1.2e5f5c6e14bf4p+1", "-0x1.6c28eb299a20dp+1",
-    "-0x1.4e89d73d4b26ep+1", "-0x1.66c19e5208537p+1", "-0x1.448ded467cb74p+1",
-]
-_PINNED_SVM_Y = [
-    "0x1.5e8613d7e756ep-1", "-0x1.37e8d6b302721p-4", "0x1.6d1e64e64b91dp-4",
-    "0x1.cebbc184be54dp-8", "0x1.441aadda7f009p-2", "0x1.8d8d014a139b7p-4",
-    "-0x1.3f9ceb1980fd9p+1", "-0x1.8889c6fbe77d8p-3",
-]
-_PINNED_LG_X = [
-    "0x1.2ba8fe7bf9c5fp+1", "0x1.a886b716e3204p-1", "0x1.d972fd52084f6p-2",
-    "0x1.3bb7f070aad8cp-2", "0x1.4acb68cdbd70ep-3", "0x1.ce8eee850d734p+0",
-    "0x1.732a6ec3eadeap+0", "0x1.f11417ee4d1adp-1", "0x1.5b5359ee00de1p-1",
-]
-_PINNED_LG_Y = [
-    "0x1.09c79ee008ed8p+0", "0x1.e362aedb60941p-3", "-0x1.6741d762ba364p-1",
-    "-0x1.159780ee79901p-2", "0x1.eb7581e8e594dp+0", "0x1.4f2934e10c9ebp+0",
-    "0x1.c5eb7e7109a2ep-2", "0x1.d6b41fd01919bp-1",
-]
-
-
-def _hex(values):
-    return [float(v).hex() for v in values]
-
-
-def test_simulate_pinned_bytes():
-    traj = simulate(reference_model(), 8, 3)
-    assert _hex(traj.h) == _PINNED_SVM_H
-    assert _hex(traj.y) == _PINNED_SVM_Y
-    x, y = LinearGaussianParams(0.0, 0.9, 0.5, 0.5).simulate(8, 3)
-    assert _hex(x) == _PINNED_LG_X
-    assert _hex(y) == _PINNED_LG_Y
 
 
 def test_simulate_tiny_noise_pins_state_at_stationary_mean():
