@@ -13,7 +13,7 @@ Run:  python3 demos/filter_demo.py
 import numpy as np
 
 from stablevol.experiment import reference_model, run_metrics
-from stablevol.filters import FilterConfig, abc_apf_run, abc_smc_run
+from stablevol.filters import FilterConfig, SmcConfig, abc_apf_run, abc_smc_run
 from stablevol.kernels import KernelSpec
 from stablevol.proposals import ProposalSpec
 from stablevol.svm import simulate
@@ -31,11 +31,8 @@ def main() -> None:
     )
     apf = abc_apf_run(traj.y, model, apf_config, rng=99)
 
-    smc_config = FilterConfig(
-        n_particles=2000,
-        kernel=KernelSpec("uniform", None),  # bandwidth resolved adaptively
-        smc_percentile=0.25,
-    )
+    # A uniform kernel whose tolerance is the step's 25th distance percentile.
+    smc_config = SmcConfig(n_particles=2000, smc_percentile=0.25)
     smc = abc_smc_run(traj.y, model, smc_config, rng=99)
 
     print()

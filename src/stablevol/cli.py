@@ -34,7 +34,7 @@ from .experiment import (
     write_filtered_csv,
     write_summary_csv,
 )
-from .filters import DegenerateCloudError, FilterConfig
+from .filters import DegenerateCloudError, FilterConfig, SmcConfig
 from .kernels import KernelSpec
 from .proposals import ProposalSpec, SeriesConvergenceError
 from .svm import simulate
@@ -125,7 +125,7 @@ def _parse_policy(text: str):
 _FOREIGN_OPTIONS = {"abc-apf": ("smc_percentile",), "abc-smc": ("eps", "kernel", "proposal")}
 
 
-def _filter_config(args) -> FilterConfig:
+def _filter_config(args) -> FilterConfig | SmcConfig:
     policy, threshold = _parse_policy(args.resample)
     foreign = [
         "--" + name.replace("_", "-")
@@ -134,26 +134,22 @@ def _filter_config(args) -> FilterConfig:
     ]
     if foreign:
         raise ValueError(f"{args.algo} does not take {', '.join(foreign)}")
-    if args.algo == "abc-apf":
-        if args.eps is None:
-            raise ValueError("abc-apf requires --eps")
-        kernel = KernelSpec(args.kernel or "gaussian", args.eps)
-    else:
-        kernel = KernelSpec("uniform", None)
-    # A flag left out keeps FilterConfig's default.
-    given = {}
-    if args.proposal is not None:
-        given["proposal"] = ProposalSpec(args.proposal.replace("-", "_"))
-    if args.smc_percentile is not None:
-        given["smc_percentile"] = args.smc_percentile
-    return FilterConfig(
+    given = dict(
         n_particles=args.particles,
-        kernel=kernel,
         resample_policy=policy,
         resample_threshold=threshold,
         resample_scheme=args.scheme,
-        **given,
     )
+    # A flag left out keeps the config's default.
+    if args.algo == "abc-smc":
+        if args.smc_percentile is not None:
+            given["smc_percentile"] = args.smc_percentile
+        return SmcConfig(**given)
+    if args.eps is None:
+        raise ValueError("abc-apf requires --eps")
+    if args.proposal is not None:
+        given["proposal"] = ProposalSpec(args.proposal.replace("-", "_"))
+    return FilterConfig(kernel=KernelSpec(args.kernel or "gaussian", args.eps), **given)
 
 
 def _cmd_simulate(args) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterConfig, FilterOutput, abc_apf_run, abc_smc_run
+from .filters import FilterConfig, FilterOutput, SmcConfig, abc_apf_run, abc_smc_run
 from .kernels import KernelSpec
 from .proposals import DOF, ProposalSpec
 from .stable import StableParams
@@ -44,8 +44,6 @@ __all__ = [
     "write_summary_csv",
     "write_boxplot_csv",
 ]
-
-_ALGOS = ("abc-apf", "abc-smc")
 
 
 def _residual(estimate, truth) -> np.ndarray:
@@ -102,11 +100,15 @@ class GridCell:
     """One algorithm/configuration cell of a study grid."""
 
     algo: str
-    config: FilterConfig
+    config: FilterConfig | SmcConfig
 
     def __post_init__(self) -> None:
-        if self.algo not in _ALGOS:
-            raise ValueError(f"algo must be one of {_ALGOS}, got {self.algo!r}")
+        expected = {"abc-apf": FilterConfig, "abc-smc": SmcConfig}.get(self.algo)
+        if type(self.config) is not expected:
+            raise ValueError(
+                "algo must be 'abc-apf' on a FilterConfig or 'abc-smc' on an SmcConfig, "
+                f"got {self.algo!r} on a {type(self.config).__name__}"
+            )
 
     @property
     def bandwidth(self) -> float:
@@ -120,16 +122,22 @@ class GridCell:
         return "-" if self.algo == "abc-smc" else self.config.proposal.kind
 
     @property
+    def kernel_name(self) -> str:
+        return "uniform" if self.algo == "abc-smc" else self.config.kernel.kind
+
+    @property
     def label(self) -> str:
         """Canonical content string; identical configurations share seeds."""
         c = self.config
+        smc = self.algo == "abc-smc"
         parts = [
             self.algo,
             self.proposal_name,
-            DOF if self.algo == "abc-apf" else "-",
-            c.kernel.kind,
-            c.kernel.epsilon,
-            c.smc_percentile if self.algo == "abc-smc" else "-",
+            "-" if smc else DOF,
+            # ABC-SMC's kernel prints as "uniform|None", text its derived seeds hash.
+            self.kernel_name,
+            None if smc else c.kernel.epsilon,
+            c.smc_percentile if smc else "-",
             c.n_particles,
             c.resample_policy,
             c.resample_threshold,
@@ -277,16 +285,7 @@ def benchmark_cells(
                 )
             )
     for pct in percentiles:
-        cells.append(
-            GridCell(
-                algo="abc-smc",
-                config=FilterConfig(
-                    n_particles=n_particles,
-                    kernel=KernelSpec("uniform", None),
-                    smc_percentile=pct,
-                ),
-            )
-        )
+        cells.append(GridCell("abc-smc", SmcConfig(n_particles, pct)))
     return tuple(cells)
 
 
@@ -402,7 +401,7 @@ def write_filtered_csv(path, output: FilterOutput) -> None:
 
 
 def _cell_fixed_columns(cell: GridCell) -> list:
-    return [cell.algo, cell.proposal_name, cell.config.kernel.kind, cell.bandwidth]
+    return [cell.algo, cell.proposal_name, cell.kernel_name, cell.bandwidth]
 
 
 def write_summary_csv(path, result: StudyResult) -> None:

@@ -12,16 +12,17 @@ lock) and kept in the instance dict, so the recorded ESS, the next step's
 policy test, the filtered mean and the resampling CDF share them.  The
 filters differ in the selection law and in the weights:
 
-* ``abc_apf_step`` (run by ``abc_apf_run``) is the ABC auxiliary particle
-  filter: the previous cloud is tilted by a cheap proposal density
+* ``abc_apf_step`` (run by ``abc_apf_run`` on a ``FilterConfig``) is the ABC
+  auxiliary particle filter: the previous cloud is tilted by a proposal density
   p_hat(y_t | xi) evaluated at the per-particle transition mean xi,
   selected on these first-stage weights, propagated through the state
   transition, and reweighted by an ABC kernel applied to the gap between one
   simulated pseudo-observation per particle and the recorded observation,
   divided by the parent's tilt (standard auxiliary correction).
-* ``abc_smc_step`` (run by ``abc_smc_run``) is the adaptive-tolerance ABC-SMC
-  baseline: select on the carried weights, propagate, then keep the particles
-  whose pseudo-observations land within the step's distance percentile.
+* ``abc_smc_step`` (run by ``abc_smc_run`` on an ``SmcConfig``) is the
+  adaptive-tolerance ABC-SMC baseline: select on the carried weights,
+  propagate, then keep the particles whose pseudo-observations land within
+  the step's distance percentile.
 
 Models are duck-typed: anything with ``initial_sample(rng, size)``,
 ``transition_mean(h)``, ``transition_sample(h, rng)``,
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "DegenerateCloudError",
     "ParticleCloud",
     "FilterConfig",
+    "SmcConfig",
     "StepDiagnostics",
     "FilterOutput",
     "LinearGaussianParams",
@@ -185,23 +187,16 @@ def resolve_epsilon(distances: np.ndarray, percentile: float) -> float:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
-    """Settings of the filter runners.
+class _CloudConfig:
+    """The cloud size and the resampling rule, which both filters read.
 
-    Both runners read ``n_particles`` and the ``resample_*`` fields.  The
-    ABC-APF also reads ``proposal`` and ``kernel`` (kind and ``epsilon``) and
-    ignores ``smc_percentile``; ABC-SMC reads ``smc_percentile`` and ignores
-    ``proposal``.  ABC-SMC sets its tolerance per step, so its ``kernel``
-    must be ``KernelSpec("uniform", None)``.
+    ``resample_threshold`` is read only under ``ess_threshold``.
     """
 
     n_particles: int
-    kernel: KernelSpec
-    proposal: ProposalSpec = ProposalSpec("shifted_t")
-    resample_policy: str = "every_step"
-    resample_threshold: float | None = None
-    resample_scheme: str = "multinomial"
-    smc_percentile: float = 0.25
+    resample_policy: str = field(default="every_step", kw_only=True)
+    resample_threshold: float | None = field(default=None, kw_only=True)
+    resample_scheme: str = field(default="multinomial", kw_only=True)
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -214,14 +209,12 @@ class FilterConfig:
             raise ValueError(
                 f"resample_scheme must be one of {_SCHEMES}, got {self.resample_scheme!r}"
             )
-        if self.resample_threshold is not None and not (
-            1.0 <= self.resample_threshold <= self.n_particles
-        ):
+        if self.resample_threshold is None:
+            return
+        if self.resample_policy != "ess_threshold":
+            raise ValueError("resample_threshold is read only under ess_threshold")
+        if not 1.0 <= self.resample_threshold <= self.n_particles:
             raise ValueError("resample_threshold must lie in [1, n_particles]")
-        if not 0.0 < self.smc_percentile <= 1.0:
-            raise ValueError(
-                f"smc_percentile must lie in (0, 1], got {self.smc_percentile}"
-            )
 
     @property
     def threshold(self) -> float:
@@ -229,6 +222,29 @@ class FilterConfig:
         if self.resample_threshold is None:
             return self.n_particles / 2.0
         return self.resample_threshold
+
+
+@dataclass(frozen=True)
+class FilterConfig(_CloudConfig):
+    """Settings of the ABC-APF: its kernel (kind and ``epsilon``) and proposal."""
+
+    kernel: KernelSpec
+    proposal: ProposalSpec = ProposalSpec("shifted_t")
+
+
+@dataclass(frozen=True)
+class SmcConfig(_CloudConfig):
+    """Settings of ABC-SMC, which sets a uniform kernel's tolerance per step at
+    the ``smc_percentile`` distance quantile."""
+
+    smc_percentile: float = 0.25
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 < self.smc_percentile <= 1.0:
+            raise ValueError(
+                f"smc_percentile must lie in (0, 1], got {self.smc_percentile}"
+            )
 
 
 @dataclass
@@ -253,7 +269,7 @@ class FilterOutput:
     elapsed: float
 
 
-def _select(selection: ParticleCloud, config: FilterConfig, rng):
+def _select(selection: ParticleCloud, config: _CloudConfig, rng):
     """Choose a step's ancestors; returns (cloud to propagate, ancestors, resampled).
 
     The selection law is ``selection``'s weights.  Under the resampling
@@ -316,7 +332,7 @@ def abc_apf_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rn
     return _reweighted(new_states, raw, cloud.t + 1, resampled)
 
 
-def abc_smc_step(cloud: ParticleCloud, y: float, model, config: FilterConfig, rng):
+def abc_smc_step(cloud: ParticleCloud, y: float, model, config: SmcConfig, rng):
     """One adaptive-tolerance ABC-SMC step; returns (new cloud, diagnostics).
 
     Resamples the carried weights first (never the prior cloud, ``t == 0``),
@@ -347,7 +363,7 @@ def _observations(ys) -> np.ndarray:
     return ys
 
 
-def _run(step, ys, model, config: FilterConfig, rng) -> FilterOutput:
+def _run(step, ys, model, config: _CloudConfig, rng) -> FilterOutput:
     """Draw the prior cloud and apply ``step`` once per observation."""
     ys = _observations(ys)
     rng = np.random.default_rng(rng)
@@ -375,13 +391,8 @@ def abc_apf_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
     return _run(abc_apf_step, ys, model, config, rng)
 
 
-def abc_smc_run(ys, model, config: FilterConfig, rng) -> FilterOutput:
+def abc_smc_run(ys, model, config: SmcConfig, rng) -> FilterOutput:
     """Run the adaptive-tolerance ABC-SMC baseline over a full record."""
-    if config.kernel != KernelSpec("uniform", None):
-        raise ValueError(
-            "abc_smc_run sets the tolerance per step: its kernel must be "
-            f"KernelSpec('uniform', None), got {config.kernel}"
-        )
     return _run(abc_smc_step, ys, model, config, rng)
 
 

@@ -20,19 +20,15 @@ _KINDS = ("gaussian", "uniform")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth (finite and > 0).
-
-    ``epsilon`` may be None for kernels whose bandwidth is resolved per step
-    (the adaptive ABC-SMC baseline); it must be resolved before evaluation.
-    """
+    """Kernel family plus bandwidth (finite and > 0)."""
 
     kind: str
-    epsilon: float | None = None
+    epsilon: float
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+        if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
@@ -43,8 +39,6 @@ def log_kernel(spec: KernelSpec, u):
     -inf outside.  Returns what numpy returns: an array shaped like u, and a
     numpy scalar or 0-d array for scalar u.
     """
-    if spec.epsilon is None:
-        raise ValueError("kernel bandwidth is unresolved (epsilon is None)")
     eps = spec.epsilon
     u_arr = np.asarray(u, dtype=float)
     if spec.kind == "gaussian":

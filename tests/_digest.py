@@ -60,7 +60,9 @@ from stablevol.experiment import (
     write_boxplot_csv,
     write_summary_csv,
 )
-from stablevol.filters import FilterConfig, LinearGaussianParams, abc_apf_run, abc_smc_run
+from stablevol.filters import (
+    FilterConfig, LinearGaussianParams, SmcConfig, abc_apf_run, abc_smc_run
+)
 from stablevol.kernels import KernelSpec
 from stablevol.proposals import ProposalSpec
 from stablevol.stable import StableParams, sample
@@ -183,9 +185,7 @@ def _filter_groups() -> dict:
                             *_outcome(_filter_items, abc_apf_run, ys, model, config)
                         )
         for percentile in (0.25, 1.0):
-            config = FilterConfig(
-                PARTICLES, KernelSpec("uniform", None), smc_percentile=percentile
-            )
+            config = SmcConfig(PARTICLES, percentile)
             groups[f"smc/{name}/{percentile}"] = _hash(
                 *_outcome(_filter_items, abc_smc_run, ys, model, config)
             )
@@ -212,7 +212,7 @@ def _study_groups(tmp: Path) -> dict:
                 resample_scheme="systematic",
             ),
         ),
-        GridCell("abc-smc", FilterConfig(64, KernelSpec("uniform", None), smc_percentile=0.5)),
+        GridCell("abc-smc", SmcConfig(64, 0.5)),
     )
     spec = StudySpec(model=reference_model(), horizon=12, cells=cells, replicates=3, base_seed=5)
     with _stopped_clock():

@@ -29,7 +29,7 @@ from stablevol.experiment import (
     write_filtered_csv,
     write_summary_csv,
 )
-from stablevol.filters import FilterConfig, FilterOutput, abc_apf_run
+from stablevol.filters import FilterConfig, FilterOutput, SmcConfig, abc_apf_run
 from stablevol.kernels import KernelSpec
 from stablevol.proposals import ProposalSpec
 from stablevol.svm import simulate
@@ -130,8 +130,11 @@ def test_derive_deterministic_and_distinct():
 
 
 def test_cell_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        GridCell("kalman", small_cell().config)
+    # Each algorithm runs one config type, and only that type.
+    apf, smc = small_cell().config, SmcConfig(50, 0.25)
+    for algo, config in [("kalman", apf), ("abc-smc", apf), ("abc-apf", smc)]:
+        with pytest.raises(ValueError, match="'abc-smc' on an SmcConfig, got"):
+            GridCell(algo, config)
 
 
 def test_reference_model_parameters():

@@ -18,6 +18,7 @@ from stablevol.filters import (
     FilterConfig,
     LinearGaussianParams,
     ParticleCloud,
+    SmcConfig,
     abc_apf_run,
     abc_apf_step,
     abc_smc_run,
@@ -53,12 +54,8 @@ def gauss_config(eps=0.25, n=500, proposal="shifted_t", **kw) -> FilterConfig:
     )
 
 
-def smc_config(percentile=0.25, n=500) -> FilterConfig:
-    return FilterConfig(
-        n_particles=n,
-        kernel=KernelSpec("uniform", None),
-        smc_percentile=percentile,
-    )
+def smc_config(percentile=0.25, n=500) -> SmcConfig:
+    return SmcConfig(n_particles=n, smc_percentile=percentile)
 
 
 LG = LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=0.5)
@@ -448,11 +445,7 @@ def test_run_rejects_non_finite_observations(run, ys, message):
     "step, run, config",
     [
         (abc_apf_step, abc_apf_run, gauss_config(n=200)),
-        (
-            abc_smc_step,
-            abc_smc_run,
-            FilterConfig(200, KernelSpec("uniform", None), smc_percentile=0.25),
-        ),
+        (abc_smc_step, abc_smc_run, SmcConfig(200, 0.25)),
     ],
     ids=["apf", "smc"],
 )
@@ -513,10 +506,7 @@ def test_ess_call_counts_per_run(ess_calls, run, proposal, policy, expected):
     model = reference_model()
     ys = simulate(model, 30, 7).y
     if run is abc_smc_run:
-        config = FilterConfig(
-            128, KernelSpec("uniform", None),
-            resample_policy=policy, resample_scheme="systematic",
-        )
+        config = SmcConfig(128, resample_policy=policy, resample_scheme="systematic")
     else:
         config = FilterConfig(
             128, KernelSpec("gaussian", 0.25), ProposalSpec(proposal),
@@ -587,8 +577,7 @@ def _filter_cases(draw):
         kind = draw(st.sampled_from(["central_t", "shifted_t", "noncentral_t"]))
         return model, abc_apf_run, FilterConfig(kernel=kernel, proposal=ProposalSpec(kind), **common)
     percentile = draw(st.floats(0.0, 1.0, exclude_min=True))
-    config = FilterConfig(kernel=KernelSpec("uniform", None), smc_percentile=percentile, **common)
-    return model, abc_smc_run, config
+    return model, abc_smc_run, SmcConfig(smc_percentile=percentile, **common)
 
 
 @settings(max_examples=200)
@@ -625,15 +614,6 @@ def test_high_signal_to_noise_tracks_log_squared_observations():
 # ---------------------------------------------------------------------------
 # abc_smc_run
 # ---------------------------------------------------------------------------
-
-
-def test_smc_requires_uniform_kernel():
-    # The tolerance is set per step, so a configured bandwidth would be
-    # ignored while GridCell.label still printed it into the study seeds.
-    for kernel in (KernelSpec("gaussian", 0.25), KernelSpec("uniform", 0.3)):
-        config = FilterConfig(100, kernel, smc_percentile=0.25)
-        with pytest.raises(ValueError, match="tolerance per step"):
-            abc_smc_run([0.1], svm_model(), config, np.random.default_rng(0))
 
 
 def test_smc_non_finite_tolerance_is_numerical_failure():
@@ -751,15 +731,16 @@ def test_apf_means_match_exact_abc_target(proposal, eps, bound):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_particles must be >= 2"):
         FilterConfig(n_particles=1, kernel=KernelSpec("gaussian", 0.25))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resample_policy must be one of"):
         gauss_config(resample_policy="sometimes")
-    with pytest.raises(ValueError):
-        gauss_config(resample_threshold=0.5)
-    with pytest.raises(ValueError):
-        gauss_config(n=100, resample_threshold=101.0)
-    with pytest.raises(ValueError):
-        FilterConfig(n_particles=10, kernel=KernelSpec("gaussian", 0.25), smc_percentile=0.0)
-    with pytest.raises(ValueError):
-        FilterConfig(n_particles=10, kernel=KernelSpec("gaussian", 0.25), smc_percentile=1.5)
+    # Every-step resampling never reads a threshold, so it may not hold one.
+    with pytest.raises(ValueError, match="read only under ess_threshold"):
+        gauss_config(resample_threshold=10.0)
+    for n, threshold in [(500, 0.5), (100, 101.0)]:
+        with pytest.raises(ValueError, match=r"\[1, n_particles\]"):
+            gauss_config(n=n, resample_policy="ess_threshold", resample_threshold=threshold)
+    for percentile in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"smc_percentile must lie in \(0, 1\]"):
+            SmcConfig(10, percentile)
