@@ -5,11 +5,9 @@ model's stationary law, applies a step function once per observation and
 records the weighted mean, the ESS and the resample/degeneracy counters.
 Both steps pick ancestors with ``_select``: it applies the resampling policy
 to a selection cloud and either resamples once or keeps the identity
-ancestry.  A ``ParticleCloud``'s plain weights and ESS are
-``functools.cached_property`` values: each is computed on first read (before
-Python 3.12, the only read that takes the class-wide lock; 3.12 dropped that
-lock) and kept in the instance dict, so the recorded ESS, the next step's
-policy test, the filtered mean and the resampling CDF share them.  The
+ancestry.  A ``ParticleCloud`` computes its plain weights and ESS on first
+read and keeps them in two private slots, so the recorded ESS, the next
+step's policy test, the filtered mean and the resampling CDF share them.  The
 filters differ in the selection law and in the weights:
 
 * ``abc_apf_step`` (run by ``abc_apf_run`` on a ``FilterConfig``) is the ABC
@@ -43,7 +41,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,28 +78,47 @@ class DegenerateCloudError(RuntimeError):
     """All particle weights are log-zero."""
 
 
-@dataclass(frozen=True)
 class ParticleCloud:
     """States plus normalized log weights at time index t.
 
-    Frozen, so its plain weights ``exp(log_weights)`` and ESS always describe
-    its own fields.  Both are ``functools.cached_property`` values: computed on
-    first read (before Python 3.12, the only read that takes the lock) and kept
-    in the instance dict.
+    Read-only, so its plain weights ``exp(log_weights)`` and ESS always
+    describe its own fields.  Each is computed on first read and kept in a
+    private slot.
     """
 
-    states: np.ndarray
-    log_weights: np.ndarray
-    t: int = 0
+    __slots__ = ("_states", "_log_weights", "_t", "_weights", "_ess")
 
-    @cached_property
+    def __init__(self, states: np.ndarray, log_weights: np.ndarray, t: int = 0):
+        self._states = states
+        self._log_weights = log_weights
+        self._t = t
+        self._weights = None
+        self._ess = None
+
+    # Properties without a setter or deleter: assigning or deleting raises
+    # AttributeError.
+    states = property(attrgetter("_states"))
+    log_weights = property(attrgetter("_log_weights"))
+    t = property(attrgetter("_t"))
+
+    def __repr__(self) -> str:
+        return (
+            f"ParticleCloud(states={self._states!r}, "
+            f"log_weights={self._log_weights!r}, t={self._t!r})"
+        )
+
+    @property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        if self._weights is None:
+            self._weights = np.exp(self._log_weights)
+        return self._weights
 
-    @cached_property
+    @property
     def ess(self) -> float:
         """``ess(log_weights)``, through the module-level function."""
-        return ess(self.log_weights)
+        if self._ess is None:
+            self._ess = ess(self._log_weights)
+        return self._ess
 
 
 @cache
@@ -114,7 +132,7 @@ def _uniform_log_weights(n: int) -> np.ndarray:
 
 def _log_normalizer(lw: np.ndarray) -> float:
     """log sum(exp(lw)), shifted by the max; raises as :func:`normalize` does."""
-    m = lw.max()
+    m = float(lw.max())
     if not math.isfinite(m):
         if m == -math.inf:
             raise DegenerateCloudError("all weights are log-zero")
@@ -157,7 +175,7 @@ def resample(cloud: ParticleCloud, scheme: str, rng):
     if not abs(float(w.sum()) - 1.0) <= 1e-9:
         raise ValueError("resample requires normalized weights")
     n = len(w)
-    cdf = np.cumsum(w)
+    cdf = w.cumsum()
     cdf[-1] = 1.0
     if scheme == "multinomial":
         # Sorted keys are searched far faster than scattered ones.  Equal
@@ -190,7 +208,8 @@ def resolve_epsilon(distances: np.ndarray, percentile: float) -> float:
 class _CloudConfig:
     """The cloud size and the resampling rule, which both filters read.
 
-    ``resample_threshold`` is read only under ``ess_threshold``.
+    ``resample_threshold`` is read only under ``ess_threshold``, where an
+    unset one becomes N/2.
     """
 
     n_particles: int
@@ -210,18 +229,15 @@ class _CloudConfig:
                 f"resample_scheme must be one of {_SCHEMES}, got {self.resample_scheme!r}"
             )
         if self.resample_threshold is None:
+            if self.resample_policy == "ess_threshold":
+                # Resolved here, so an unset threshold and N/2 are one config
+                # and print one ``GridCell.label``.
+                object.__setattr__(self, "resample_threshold", self.n_particles / 2.0)
             return
         if self.resample_policy != "ess_threshold":
             raise ValueError("resample_threshold is read only under ess_threshold")
         if not 1.0 <= self.resample_threshold <= self.n_particles:
             raise ValueError("resample_threshold must lie in [1, n_particles]")
-
-    @property
-    def threshold(self) -> float:
-        """Resolved ESS threshold (defaults to N/2)."""
-        if self.resample_threshold is None:
-            return self.n_particles / 2.0
-        return self.resample_threshold
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ def _select(selection: ParticleCloud, config: _CloudConfig, rng):
     carried with these weights and the identity ancestry.  A carried cloud
     reuses the ESS it already holds.
     """
-    if config.resample_policy == "every_step" or selection.ess < config.threshold:
+    if config.resample_policy == "every_step" or selection.ess < config.resample_threshold:
         return (*resample(selection, config.resample_scheme, rng), True)
     return selection, np.arange(len(selection.states)), False
 

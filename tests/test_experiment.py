@@ -162,6 +162,19 @@ def test_benchmark_grid_shape():
     assert len({c.label for c in cells}) == 15
 
 
+def test_unset_ess_threshold_and_half_the_cloud_share_one_label():
+    # An unset threshold runs as N/2, so the two configs must derive one seed.
+    for algo, make in [
+        ("abc-apf", lambda **kw: FilterConfig(64, KernelSpec("gaussian", 0.25), **kw)),
+        ("abc-smc", lambda **kw: SmcConfig(64, **kw)),
+    ]:
+        unset, half = (
+            GridCell(algo, make(resample_policy="ess_threshold", resample_threshold=threshold))
+            for threshold in (None, 32.0)
+        )
+        assert unset.label == half.label
+
+
 def test_sensitivity_grid_order_and_fixed_coefficients():
     models = sensitivity_models(1.0, 1.0)
     pairs = [(m.obs_noise.alpha, m.obs_noise.beta) for _, m in models]

@@ -403,9 +403,9 @@ def test_run_starts_from_the_shared_uniform_log_weights():
 
 def test_ess_threshold_defaults_to_half_the_cloud():
     cfg = gauss_config(n=300, resample_policy="ess_threshold")
-    assert cfg.threshold == 150.0
+    assert cfg.resample_threshold == 150.0
     cfg2 = gauss_config(n=300, resample_policy="ess_threshold", resample_threshold=42.0)
-    assert cfg2.threshold == 42.0
+    assert cfg2.resample_threshold == 42.0
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +526,39 @@ def test_ess_call_counts_per_run(ess_calls, run, proposal, policy, expected):
     assert len(ess_calls) == 1
 
 
-@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
-def test_cached_weights_and_ess_match_fresh_values(proposal):
+_ESS_SYSTEMATIC = {"resample_policy": "ess_threshold", "resample_scheme": "systematic"}
+
+
+@pytest.mark.parametrize(
+    "step, config",
+    [
+        (abc_apf_step, gauss_config(n=128, proposal="central_t", **_ESS_SYSTEMATIC)),
+        (abc_apf_step, gauss_config(n=128, proposal="shifted_t", **_ESS_SYSTEMATIC)),
+        (abc_smc_step, SmcConfig(128, **_ESS_SYSTEMATIC)),
+    ],
+    ids=["central_t", "shifted_t", "smc"],
+)
+def test_cached_weights_and_ess_match_fresh_values(step, config):
     ys = simulate(svm_model(), 20, 3403).y
     model = svm_model()
-    config = FilterConfig(
-        128, KernelSpec("gaussian", 0.25), ProposalSpec(proposal),
-        resample_policy="ess_threshold", resample_scheme="systematic",
-    )
     rng = np.random.default_rng(3404)
     cloud = ParticleCloud(model.initial_sample(rng, size=128), np.full(128, -math.log(128)))
     for y in ys:
-        cloud, _ = abc_apf_step(cloud, float(y), model, config, rng)
+        cloud, _ = step(cloud, float(y), model, config, rng)
         assert cloud.weights.tobytes() == np.exp(cloud.log_weights).tobytes()
         assert float(cloud.ess).hex() == ess(cloud.log_weights).hex()
 
 
 def test_particle_cloud_is_frozen():
     cloud = ParticleCloud(np.arange(4.0), np.full(4, -math.log(4.0)))
-    for name, value in [("states", np.zeros(4)), ("log_weights", np.zeros(4)), ("t", 1)]:
+    for name, value in [
+        ("states", np.zeros(4)), ("log_weights", np.zeros(4)), ("t", 1),
+        ("weights", np.zeros(4)), ("ess", 1.0),
+    ]:
         with pytest.raises(AttributeError):
             setattr(cloud, name, value)
+    with pytest.raises(AttributeError):
+        del cloud.states
 
 
 @st.composite
