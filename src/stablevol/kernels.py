@@ -9,6 +9,7 @@ weight arithmetic without NaNs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ _KINDS = ("gaussian", "uniform")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth (finite and > 0)."""
+    """Kernel family plus bandwidth (finite and > 0, stored as a float)."""
 
     kind: str
     epsilon: float
@@ -28,8 +29,22 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        eps = _as_float("epsilon", self.epsilon)
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {eps}")
+        object.__setattr__(self, "epsilon", eps)
+
+
+def _as_float(name: str, value) -> float:
+    """A config number stored as a float, so an int and the equal float build
+    one config (one label, one set of seeds); rejects a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        # An int beyond the float range; the caller's range check rejects it.
+        return math.inf if value > 0 else -math.inf
 
 
 def log_kernel(spec: KernelSpec, u):

@@ -175,6 +175,18 @@ def test_unset_ess_threshold_and_half_the_cloud_share_one_label():
         assert unset.label == half.label
 
 
+def test_int_and_equal_float_config_numbers_share_one_label():
+    # The label prints each config number, so an int must print as the equal
+    # float does, or one run would derive two sets of seeds.
+    ess = {"resample_policy": "ess_threshold"}
+    for algo, make in [
+        ("abc-apf", lambda v: FilterConfig(64, KernelSpec("gaussian", v), resample_threshold=v, **ess)),
+        ("abc-smc", lambda v: SmcConfig(64, v, resample_threshold=v, **ess)),
+    ]:
+        as_int, as_float = (GridCell(algo, make(v)).label for v in (1, 1.0))
+        assert as_int == as_float
+
+
 def test_sensitivity_grid_order_and_fixed_coefficients():
     models = sensitivity_models(1.0, 1.0)
     pairs = [(m.obs_noise.alpha, m.obs_noise.beta) for _, m in models]

@@ -389,6 +389,30 @@ def test_uniform_clouds_share_one_read_only_log_weight_array(scheme):
         first.log_weights += 1.0
 
 
+def test_systematic_grid_and_identity_ancestry_share_one_read_only_arange(monkeypatch):
+    # One read-only arange per cloud size serves the systematic grid and the
+    # identity ancestry of a carried cloud, so neither builds one per step.
+    n = 37
+    shared = filters_mod._indices(n)
+    assert np.array_equal(shared, np.arange(n))
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0] = 1
+
+    def no_new_arange(*args, **kwargs):
+        raise AssertionError("np.arange called in the step")
+
+    monkeypatch.setattr(np, "arange", no_new_arange)
+    rng = np.random.default_rng(3111)
+    cloud = ParticleCloud(rng.normal(size=n), np.full(n, -math.log(n)))
+    _, ancestors = resample(cloud, "systematic", rng)
+    # A uniform cloud keeps everyone under the systematic grid.
+    assert np.array_equal(ancestors, shared)
+    cfg = gauss_config(n=n, resample_policy="ess_threshold")
+    carried, ancestors, resampled = filters_mod._select(cloud, cfg, rng)
+    assert carried is cloud and not resampled
+    assert ancestors is shared
+
+
 def test_run_starts_from_the_shared_uniform_log_weights():
     # The prior cloud a run hands its first step is the shared uniform one.
     priors = []
@@ -690,9 +714,34 @@ def test_kalman_static_state_limit_is_shrinkage_path():
 def test_linear_gaussian_observation_scale_is_one():
     # The bad parameters are the LinearGaussianParams rows of
     # test_svm.py::test_rejects_bad_parameters.
-    # A scalar for any state, which the APF step broadcasts.
-    assert LG.observation_scale(3.7) == 1.0
-    assert LG.observation_scale(np.array([-1.0, 2.0])) == 1.0
+    # The float 1.0 for any state, from which the APF step skips the scale.
+    for h in (3.7, np.array([-1.0, 2.0])):
+        scale = LG.observation_scale(h)
+        assert type(scale) is float and scale == 1.0
+
+
+class _ArrayScaleLG(LinearGaussianParams):
+    """The linear-Gaussian model with its unit observation scale as an array,
+    which takes the step's general (state-dependent scale) path."""
+
+    def observation_scale(self, h):
+        return np.ones(np.shape(h))
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+@pytest.mark.parametrize("policy", ["every_step", "ess_threshold"])
+@pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
+def test_unit_scale_shortcut_equals_array_scale_path(proposal, policy, scheme):
+    # The float 1.0 skips the division and the log-scale pass, which must not
+    # move a byte against the same model dividing by an array of ones.
+    ys = LG.simulate(40, 3112)[1]
+    cfg = gauss_config(n=128, proposal=proposal, resample_policy=policy, resample_scheme=scheme)
+    array_lg = _ArrayScaleLG(LG.mu, LG.phi, LG.sigma_h, LG.sigma_y)
+    plain, general = (abc_apf_run(ys, model, cfg, 3113) for model in (LG, array_lg))
+    assert plain.filtered_mean.tobytes() == general.filtered_mean.tobytes()
+    assert plain.ess_trace.tobytes() == general.ess_trace.tobytes()
+    assert plain.resample_count == general.resample_count
+    assert plain.degeneracy_count == general.degeneracy_count
 
 
 # ---------------------------------------------------------------------------
@@ -756,3 +805,26 @@ def test_config_validation():
     for percentile in (0.0, 1.5):
         with pytest.raises(ValueError, match=r"smc_percentile must lie in \(0, 1\]"):
             SmcConfig(10, percentile)
+
+
+@pytest.mark.parametrize("n", [100.0, 2.5, True], ids=["float", "fraction", "bool"])
+def test_n_particles_must_be_an_integer(n):
+    # Caught when the config is built, not inside numpy when it runs.
+    for make in (lambda: FilterConfig(n, KernelSpec("gaussian", 0.25)), lambda: SmcConfig(n)):
+        with pytest.raises(ValueError, match=f"n_particles must be an integer, got {n!r}"):
+            make()
+
+
+def test_config_numbers_are_stored_as_floats():
+    # An int and the equal float build one config; a bool or a non-number is
+    # not a number here.
+    cfg = SmcConfig(64, 1, resample_policy="ess_threshold", resample_threshold=32)
+    assert (cfg.smc_percentile, cfg.resample_threshold) == (1.0, 32.0)
+    assert type(cfg.smc_percentile) is float and type(cfg.resample_threshold) is float
+    assert type(SmcConfig(np.int64(64)).n_particles) is int
+    for bad in (True, "0.5", None):
+        with pytest.raises(ValueError, match="smc_percentile must be a finite real number"):
+            SmcConfig(64, bad)
+    for bad in (True, "32"):
+        with pytest.raises(ValueError, match="resample_threshold must be a finite real number"):
+            SmcConfig(64, resample_policy="ess_threshold", resample_threshold=bad)

@@ -86,6 +86,13 @@ def test_rejects_bad_kind_and_bandwidth():
         KernelSpec("gaussian", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", -0.5)
-    for bad in (math.inf, math.nan, None):
+    # A bool or a non-number is not a bandwidth; an int past the float range
+    # is infinite.
+    for bad in (math.inf, math.nan, None, True, "0.25", 10**400):
         with pytest.raises(ValueError, match="finite"):
             KernelSpec("gaussian", bad)
+
+
+def test_bandwidth_is_stored_as_a_float():
+    spec = KernelSpec("gaussian", 1)
+    assert type(spec.epsilon) is float and str(spec.epsilon) == "1.0"
