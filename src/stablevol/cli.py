@@ -3,10 +3,11 @@
 Exit codes: 0 on success, 2 on configuration/validation errors (including
 non-finite observations or model parameters, a model whose stationary mean or
 variance is not finite, a config that repeats a key, a ``filter`` flag that
-belongs to the other ``--algo``, and an output path that is bad: its directory
-does not exist, it is a directory, or it names the same file as ``--config``,
-``--data`` or the other output, by name or by a hard link; output paths are
-checked before any work), 3
+belongs to the other ``--algo``, a ``--particles`` or ``--horizon`` too large
+to allocate, and an output path that is bad: its directory does not exist, it
+is a directory, or it names the same file as ``--config``, ``--data`` or the
+other output, by name or by a hard link; output paths are checked before any
+work), 3
 on numerical failures (including an overflow, a filter run on an observation
 scale exp(h / 2) that overflows or underflows, and a filter run in which any
 step was a degenerate reset).  Exit 2 or 3 writes no output file and prints one
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
         # overflowed or underflowed: the NaN weight it leaves fails normalize.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:

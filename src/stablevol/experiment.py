@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,6 +171,10 @@ class StudySpec:
         object.__setattr__(self, "cells", tuple(self.cells))
 
 
+# The summary's aggregate rows, in order.
+_AGGREGATES = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max}
+
+
 @dataclass
 class StudyResult:
     """Per-cell, per-replicate metrics plus aggregate views."""
@@ -179,27 +183,16 @@ class StudyResult:
     metrics: list  # metrics[cell_index][replicate] -> RunMetrics
 
     def aggregate(self, cell_index: int) -> dict:
+        """Each ``RunMetrics`` field reduced over the cell's replicates, as a
+        float, by each of ``_AGGREGATES``."""
         ms = self.metrics[cell_index]
-        fields = {
-            "rmse": np.array([m.rmse for m in ms]),
-            "ae": np.array([m.ae for m in ms]),
-            "elapsed": np.array([m.elapsed for m in ms]),
-            "degeneracy_count": np.array([m.degeneracy_count for m in ms], dtype=float),
-        }
-        reducers = {
-            "mean": np.mean,
-            "median": np.median,
-            "min": np.min,
-            "max": np.max,
+        columns = {
+            f.name: np.array([getattr(m, f.name) for m in ms], dtype=float)
+            for f in fields(RunMetrics)
         }
         return {
-            name: RunMetrics(
-                rmse=float(red(fields["rmse"])),
-                ae=float(red(fields["ae"])),
-                elapsed=float(red(fields["elapsed"])),
-                degeneracy_count=float(red(fields["degeneracy_count"])),
-            )
-            for name, red in reducers.items()
+            name: RunMetrics(**{key: float(reduce(col)) for key, col in columns.items()})
+            for name, reduce in _AGGREGATES.items()
         }
 
 

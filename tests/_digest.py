@@ -28,7 +28,8 @@ A change that moves outputs on purpose regenerates the file with
 
     python tests/_digest.py
 
-and lists the changed groups in CHANGES.md.
+which prints the groups that moved, through the same ``moved`` as the test,
+and lists them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -280,11 +281,21 @@ def build() -> dict:
         }
 
 
-def write_golden() -> None:
-    record = {"numpy": np.__version__, "platform": platform_name(), "groups": build()}
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+def moved(golden: dict, current: dict) -> list:
+    """One line per kind of move, naming the groups whose hash changed, that
+    ``current`` lacks, or that are new in it; empty when no group moved."""
+    kinds = {
+        "changed": sorted(n for n in golden.keys() & current.keys() if golden[n] != current[n]),
+        "missing": sorted(golden.keys() - current.keys()),
+        "new": sorted(current.keys() - golden.keys()),
+    }
+    return [f"{kind}: {', '.join(names)}" for kind, names in kinds.items() if names]
 
 
 if __name__ == "__main__":
-    write_golden()
-    print(f"wrote {len(json.loads(GOLDEN.read_text())['groups'])} groups to {GOLDEN}")
+    golden = json.loads(GOLDEN.read_text())["groups"]
+    current = build()
+    record = {"numpy": np.__version__, "platform": platform_name(), "groups": current}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(current)} groups to {GOLDEN}")
+    print("\n".join(moved(golden, current)) or "no group moved")

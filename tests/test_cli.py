@@ -252,6 +252,13 @@ def test_other_algorithms_flag_is_config_error(cli, flags):
     cli.fails(EXIT_CONFIG, "filter", "does not take", **flags)
 
 
+@pytest.mark.parametrize("command, flag", [("simulate", "horizon"), ("filter", "particles")])
+def test_size_too_large_to_allocate_is_config_error(cli, command, flag):
+    # 10**16 floats overrun any 128 TiB address space, so numpy fails at once.
+    cli.simulate()
+    cli.fails(EXIT_CONFIG, command, "Unable to allocate", **{flag: 10**16})
+
+
 def test_bad_worker_count_is_config_error(cli):
     cli.fails(EXIT_CONFIG, "experiment", "--workers must be >= 1", workers=0)
 

@@ -10,18 +10,12 @@ import json
 
 import numpy as np
 
-from _digest import GOLDEN, build, platform_name
+from _digest import GOLDEN, build, moved, platform_name
 
 
 def test_outputs_match_golden_digest():
     recorded = json.loads(GOLDEN.read_text())
-    golden, current = recorded["groups"], build()
-    moved = {
-        "changed": sorted(n for n in golden.keys() & current.keys() if golden[n] != current[n]),
-        "missing": sorted(golden.keys() - current.keys()),
-        "new": sorted(current.keys() - golden.keys()),
-    }
-    lines = [f"{kind}: {', '.join(names)}" for kind, names in moved.items() if names]
+    lines = moved(recorded["groups"], build())
     assert not lines, "\n".join(
         [
             f"outputs differ from {GOLDEN.name}",

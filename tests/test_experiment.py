@@ -59,25 +59,23 @@ def small_spec(cells=None, replicates=3, horizon=20, base_seed=4242) -> StudySpe
 # ---------------------------------------------------------------------------
 
 
-def test_rmse_pinned_cases():
-    truth = np.array([1.0, 2.0, 3.0])
-    assert rmse(truth, truth) == pytest.approx(0.0)
-    assert rmse(truth + 1.0, truth) == pytest.approx(1.0)
-    assert rmse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(math.sqrt(12.5))
-
-
-def test_abs_error_pinned_cases():
-    truth = np.array([1.0, 2.0])
-    assert abs_error(truth, truth) == pytest.approx(0.0)
-    assert abs_error([3.0, -4.0], [0.0, 0.0]) == pytest.approx(3.5)
-    assert abs_error([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_metrics_reject_length_mismatch():
-    with pytest.raises(ValueError):
-        rmse([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        abs_error([1.0], [1.0, 2.0])
+def test_metrics_pinned_cases():
+    # None marks paths of different lengths, which both metrics reject.
+    for metric, estimate, truth, expected in [
+        (rmse, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.0),
+        (rmse, [2.0, 3.0, 4.0], [1.0, 2.0, 3.0], 1.0),
+        (rmse, [3.0, 4.0], [0.0, 0.0], math.sqrt(12.5)),
+        (rmse, [1.0, 2.0], [1.0], None),
+        (abs_error, [1.0, 2.0], [1.0, 2.0], 0.0),
+        (abs_error, [3.0, -4.0], [0.0, 0.0], 3.5),
+        (abs_error, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0),
+        (abs_error, [1.0], [1.0, 2.0], None),
+    ]:
+        if expected is None:
+            with pytest.raises(ValueError, match="length mismatch"):
+                metric(estimate, truth)
+        else:
+            assert metric(estimate, truth) == pytest.approx(expected)
 
 
 @given(
@@ -162,29 +160,20 @@ def test_benchmark_grid_shape():
     assert len({c.label for c in cells}) == 15
 
 
-def test_unset_ess_threshold_and_half_the_cloud_share_one_label():
-    # An unset threshold runs as N/2, so the two configs must derive one seed.
-    for algo, make in [
-        ("abc-apf", lambda **kw: FilterConfig(64, KernelSpec("gaussian", 0.25), **kw)),
-        ("abc-smc", lambda **kw: SmcConfig(64, **kw)),
-    ]:
-        unset, half = (
-            GridCell(algo, make(resample_policy="ess_threshold", resample_threshold=threshold))
-            for threshold in (None, 32.0)
-        )
-        assert unset.label == half.label
-
-
-def test_int_and_equal_float_config_numbers_share_one_label():
-    # The label prints each config number, so an int must print as the equal
-    # float does, or one run would derive two sets of seeds.
+def test_equal_configs_share_one_label():
+    # The label prints each config number, so equal configs must print one
+    # label, or one run would derive two sets of seeds: an unset threshold
+    # runs as N/2, and an int config number is the equal float.
     ess = {"resample_policy": "ess_threshold"}
     for algo, make in [
-        ("abc-apf", lambda v: FilterConfig(64, KernelSpec("gaussian", v), resample_threshold=v, **ess)),
-        ("abc-smc", lambda v: SmcConfig(64, v, resample_threshold=v, **ess)),
+        ("abc-apf", lambda v, **kw: FilterConfig(64, KernelSpec("gaussian", v), **kw, **ess)),
+        ("abc-smc", lambda v, **kw: SmcConfig(64, v, **kw, **ess)),
     ]:
-        as_int, as_float = (GridCell(algo, make(v)).label for v in (1, 1.0))
-        assert as_int == as_float
+        for a, b in [
+            (make(0.25), make(0.25, resample_threshold=32.0)),
+            (make(1, resample_threshold=1), make(1.0, resample_threshold=1.0)),
+        ]:
+            assert a == b and GridCell(algo, a).label == GridCell(algo, b).label
 
 
 def test_sensitivity_grid_order_and_fixed_coefficients():

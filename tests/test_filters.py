@@ -4,6 +4,7 @@ reference filter."""
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -142,13 +143,6 @@ def test_resample_one_hot_copies_winner(scheme):
     assert np.allclose(np.exp(out.log_weights), 1.0 / n, atol=1e-15)
 
 
-def test_systematic_uniform_weights_keep_everyone():
-    n = 16
-    cloud = ParticleCloud(np.arange(n, dtype=float), np.full(n, -math.log(n)))
-    _, ancestors = resample(cloud, "systematic", np.random.default_rng(3002))
-    assert np.array_equal(np.sort(ancestors), np.arange(n))
-
-
 @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
 def test_resample_unbiased_weighted_mean(scheme):
     # Every particle's mean copy count is N w_i, so the resampled cloud's mean
@@ -220,13 +214,8 @@ def test_resolve_epsilon_quartile_convention():
     assert resolve_epsilon(d, 0.51) == pytest.approx(0.3)  # ceil(2.04) = 3
     assert resolve_epsilon(d, 1.0) == pytest.approx(0.4)
     assert resolve_epsilon(d, 1e-9) == pytest.approx(0.1)
-
-
-def test_resolve_epsilon_keeps_closest_quarter():
-    d = np.array([0.1, 0.2, 0.3, 0.4])
-    eps = resolve_epsilon(d, 0.25)
-    survivors = d <= eps
-    assert int(np.sum(survivors)) == 1 and survivors[0]
+    # The closest quarter survives, and only it.
+    assert np.flatnonzero(d <= resolve_epsilon(d, 0.25)).tolist() == [1]
 
 
 def test_resolve_epsilon_exact_product_is_not_rounded_up():
@@ -239,25 +228,6 @@ def test_resolve_epsilon_exact_product_is_not_rounded_up():
 # ---------------------------------------------------------------------------
 # abc_apf_step
 # ---------------------------------------------------------------------------
-
-
-def test_constant_tilt_skips_proposal_evaluation(monkeypatch):
-    calls = []
-    orig = filters_mod.log_phat
-
-    def spy(spec, y, xi):
-        calls.append(spec.kind)
-        return orig(spec, y, xi)
-
-    monkeypatch.setattr(filters_mod, "log_phat", spy)
-    model = svm_model()
-    rng = np.random.default_rng(3101)
-    states = np.asarray(model.initial_sample(rng, size=64))
-    cloud = ParticleCloud(states, np.full(64, -math.log(64.0)))
-    abc_apf_step(cloud, 0.1, model, gauss_config(n=64, proposal="central_t"), rng)
-    assert calls == []
-    abc_apf_step(cloud, 0.1, model, gauss_config(n=64), rng)
-    assert calls == ["shifted_t"]
 
 
 def test_single_particle_step_replays_rng_order():
@@ -304,8 +274,11 @@ def _reference_apf_step(states, log_weights, y, model, config, rng):
 @pytest.mark.parametrize("weights", ["uniform", "random"])
 @pytest.mark.parametrize("policy", ["every_step", "ess_threshold"])
 @pytest.mark.parametrize("proposal", ["central_t", "shifted_t"])
-def test_step_equals_reference_apf_step(proposal, policy, weights):
-    # Matched seeds give bit-identical clouds.
+def test_step_equals_reference_apf_step(proposal, policy, weights, monkeypatch):
+    # Matched seeds give bit-identical clouds, and the step evaluates p_hat
+    # once, or never for the central t's constant tilt.
+    calls = []
+    monkeypatch.setattr(filters_mod, "log_phat", lambda *args: calls.append(1) or log_phat(*args))
     model = svm_model()
     n, y = 512, 0.3
     init = np.random.default_rng(6)
@@ -321,39 +294,31 @@ def test_step_equals_reference_apf_step(proposal, policy, weights):
     assert diag.resampled == (policy == "every_step")
     assert np.array_equal(stepped.states, new_states)
     assert np.array_equal(stepped.log_weights, new_lw)
+    assert len(calls) == (proposal == "shifted_t")
 
 
 def test_filter_invariant_to_proposal_scaling(monkeypatch):
     # Multiplying every p_hat value by a constant must not change which
     # particles are selected or propagated: the states coincide exactly and
-    # the weights and means agree to float rounding.
+    # the means agree to float rounding.
     model = svm_model()
-    data = simulate(model, 50, 3105)
-    cfg = gauss_config(n=400)
+    ys = simulate(model, 50, 3105).y
     orig = filters_mod.log_phat
 
-    def run_steps(scale_shift):
-        if scale_shift:
-            monkeypatch.setattr(
-                filters_mod, "log_phat", lambda spec, y, xi: orig(spec, y, xi) + 2.0
-            )
-        else:
-            monkeypatch.setattr(filters_mod, "log_phat", orig)
-        rng = np.random.default_rng(3106)
-        n = cfg.n_particles
-        states = np.asarray(model.initial_sample(rng, size=n))
-        cloud = ParticleCloud(states, np.full(n, -math.log(n)))
-        states_out, means = [], []
-        for y in data.y:
-            cloud, _ = abc_apf_step(cloud, float(y), model, cfg, rng)
-            states_out.append(cloud.states.copy())
-            means.append(float(np.dot(cloud.weights, cloud.states)))
-        return states_out, np.array(means)
+    def run(log_phat_fn):
+        monkeypatch.setattr(filters_mod, "log_phat", log_phat_fn)
+        states = []
 
-    st_a, mean_a = run_steps(False)
-    st_b, mean_b = run_steps(True)
-    for a, b in zip(st_a, st_b):
-        assert np.array_equal(a, b)
+        def step(*args):
+            cloud, diag = abc_apf_step(*args)
+            states.append(cloud.states)
+            return cloud, diag
+
+        return states, filters_mod._run(step, ys, model, gauss_config(n=400), 3106).filtered_mean
+
+    st_a, mean_a = run(orig)
+    st_b, mean_b = run(lambda spec, y, xi: orig(spec, y, xi) + 2.0)
+    assert np.array_equal(st_a, st_b)
     assert np.allclose(mean_a, mean_b, rtol=0.0, atol=1e-10)
 
 
@@ -373,63 +338,45 @@ def test_degenerate_cloud_resets_to_uniform_and_is_counted():
 
 
 @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
-def test_uniform_clouds_share_one_read_only_log_weight_array(scheme):
-    # A resampled cloud, a degenerate reset (above) and a run's prior cloud
-    # all take one read-only -log(n) array per cloud size.
-    n = 50
-    rng = np.random.default_rng(3109)
-    cloud = ParticleCloud(rng.normal(size=n), normalize(rng.normal(size=n)))
-    first, _ = resample(cloud, scheme, rng)
-    second, _ = resample(cloud, scheme, rng)
-    assert first.log_weights is second.log_weights
-    assert np.array_equal(first.log_weights, np.full(n, -math.log(n)))
-    with pytest.raises(ValueError, match="read-only"):
-        first.log_weights[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        first.log_weights += 1.0
-
-
-def test_systematic_grid_and_identity_ancestry_share_one_read_only_arange(monkeypatch):
-    # One read-only arange per cloud size serves the systematic grid and the
-    # identity ancestry of a carried cloud, so neither builds one per step.
+def test_uniform_clouds_share_one_read_only_log_weight_array(scheme, monkeypatch):
+    # A run's prior cloud, a resampled cloud and a degenerate reset (above)
+    # all take one read-only -log(n) array per cloud size.  One read-only
+    # arange per size serves the systematic grid and the identity ancestry of
+    # a carried cloud, so no step builds one.
     n = 37
-    shared = filters_mod._indices(n)
-    assert np.array_equal(shared, np.arange(n))
-    with pytest.raises(ValueError, match="read-only"):
-        shared[0] = 1
+    uniform, indices = filters_mod._uniform_log_weights(n), filters_mod._indices(n)
+    assert np.array_equal(uniform, np.full(n, -math.log(n)))
+    assert np.array_equal(indices, np.arange(n))
+    for shared in (uniform, indices):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            shared += 1
 
     def no_new_arange(*args, **kwargs):
         raise AssertionError("np.arange called in the step")
 
     monkeypatch.setattr(np, "arange", no_new_arange)
-    rng = np.random.default_rng(3111)
-    cloud = ParticleCloud(rng.normal(size=n), np.full(n, -math.log(n)))
-    _, ancestors = resample(cloud, "systematic", rng)
-    # A uniform cloud keeps everyone under the systematic grid.
-    assert np.array_equal(ancestors, shared)
-    cfg = gauss_config(n=n, resample_policy="ess_threshold")
-    carried, ancestors, resampled = filters_mod._select(cloud, cfg, rng)
-    assert carried is cloud and not resampled
-    assert ancestors is shared
-
-
-def test_run_starts_from_the_shared_uniform_log_weights():
-    # The prior cloud a run hands its first step is the shared uniform one.
     priors = []
 
-    def first_step(cloud, y, model, config, rng):
+    def spy_step(cloud, *args):
         priors.append(cloud)
-        return cloud, filters_mod.StepDiagnostics(False, False)
+        return abc_apf_step(cloud, *args)
 
-    filters_mod._run(first_step, [0.1], LG, gauss_config(n=40), 3110)
-    assert priors[0].log_weights is filters_mod._uniform_log_weights(40)
-
-
-def test_ess_threshold_defaults_to_half_the_cloud():
-    cfg = gauss_config(n=300, resample_policy="ess_threshold")
-    assert cfg.resample_threshold == 150.0
-    cfg2 = gauss_config(n=300, resample_policy="ess_threshold", resample_threshold=42.0)
-    assert cfg2.resample_threshold == 42.0
+    cfg = gauss_config(n=n, resample_policy="ess_threshold", resample_scheme=scheme)
+    filters_mod._run(spy_step, [0.1], LG, cfg, 3110)
+    assert priors[0].log_weights is uniform
+    rng = np.random.default_rng(3109)
+    cloud = ParticleCloud(rng.normal(size=n), normalize(rng.normal(size=n)))
+    first, _ = resample(cloud, scheme, rng)
+    second, _ = resample(cloud, scheme, rng)
+    assert first.log_weights is second.log_weights is uniform
+    if scheme == "systematic":
+        # A uniform cloud keeps everyone under the systematic grid.
+        assert np.array_equal(resample(second, scheme, rng)[1], indices)
+    carried, ancestors, resampled = filters_mod._select(second, cfg, rng)
+    assert carried is second and not resampled
+    assert ancestors is indices
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +411,25 @@ def test_run_rejects_non_finite_observations(run, ys, message):
         run(ys)
 
 
+_ESS_SYSTEMATIC = {"resample_policy": "ess_threshold", "resample_scheme": "systematic"}
+
+
 @pytest.mark.parametrize("model", [svm_model(), LG], ids=["svm", "lg"])
 @pytest.mark.parametrize(
     "step, run, config",
     [
         (abc_apf_step, abc_apf_run, gauss_config(n=200)),
         (abc_smc_step, abc_smc_run, SmcConfig(200, 0.25)),
+        (abc_apf_step, abc_apf_run, gauss_config(n=128, proposal="central_t", **_ESS_SYSTEMATIC)),
+        (abc_apf_step, abc_apf_run, gauss_config(n=128, **_ESS_SYSTEMATIC)),
+        (abc_smc_step, abc_smc_run, SmcConfig(128, **_ESS_SYSTEMATIC)),
     ],
-    ids=["apf", "smc"],
+    ids=["apf", "smc", "apf-central-t-ess", "apf-shifted-t-ess", "smc-ess"],
 )
 def test_run_equals_hand_driven_step(model, step, run, config):
     # A run is the step applied once per observation to the seeded prior
-    # cloud; both paths must agree bit for bit.
+    # cloud; both paths must agree bit for bit.  Each cloud's cached weights
+    # and ESS are the values computed afresh from its log weights.
     ys = simulate(svm_model(), 25, 3205).y
     out = run(ys, model, config, np.random.default_rng(3206))
 
@@ -485,6 +439,8 @@ def test_run_equals_hand_driven_step(model, step, run, config):
     means, esses, resampled = [], [], 0
     for y in ys:
         cloud, diag = step(cloud, float(y), model, config, rng)
+        assert cloud.weights.tobytes() == np.exp(cloud.log_weights).tobytes()
+        assert float(cloud.ess).hex() == ess(cloud.log_weights).hex()
         means.append(float(np.dot(cloud.weights, cloud.states)))
         esses.append(cloud.ess)
         resampled += diag.resampled
@@ -543,38 +499,13 @@ def test_ess_call_counts_per_run(ess_calls, run, proposal, policy, expected):
         # policy test read the cached ESS.
         assert 0 < out.resample_count < len(ys)
 
+
+def test_particle_cloud_is_frozen(ess_calls):
+    # Read-only, and each derived value is computed once, on first read.
     cloud = ParticleCloud(np.arange(4.0), normalize(np.arange(4.0)))
-    ess_calls.clear()
     assert cloud.weights is cloud.weights
     assert cloud.ess is cloud.ess
     assert len(ess_calls) == 1
-
-
-_ESS_SYSTEMATIC = {"resample_policy": "ess_threshold", "resample_scheme": "systematic"}
-
-
-@pytest.mark.parametrize(
-    "step, config",
-    [
-        (abc_apf_step, gauss_config(n=128, proposal="central_t", **_ESS_SYSTEMATIC)),
-        (abc_apf_step, gauss_config(n=128, proposal="shifted_t", **_ESS_SYSTEMATIC)),
-        (abc_smc_step, SmcConfig(128, **_ESS_SYSTEMATIC)),
-    ],
-    ids=["central_t", "shifted_t", "smc"],
-)
-def test_cached_weights_and_ess_match_fresh_values(step, config):
-    ys = simulate(svm_model(), 20, 3403).y
-    model = svm_model()
-    rng = np.random.default_rng(3404)
-    cloud = ParticleCloud(model.initial_sample(rng, size=128), np.full(128, -math.log(128)))
-    for y in ys:
-        cloud, _ = step(cloud, float(y), model, config, rng)
-        assert cloud.weights.tobytes() == np.exp(cloud.log_weights).tobytes()
-        assert float(cloud.ess).hex() == ess(cloud.log_weights).hex()
-
-
-def test_particle_cloud_is_frozen():
-    cloud = ParticleCloud(np.arange(4.0), np.full(4, -math.log(4.0)))
     for name, value in [
         ("states", np.zeros(4)), ("log_weights", np.zeros(4)), ("t", 1),
         ("weights", np.zeros(4)), ("ess", 1.0),
@@ -791,40 +722,48 @@ def test_apf_means_match_exact_abc_target(proposal, eps, bound):
         assert eps < 0.5 or gap < plain / 4, message
 
 
+_KERNEL = KernelSpec("gaussian", 0.25)
+_ESS = {"resample_policy": "ess_threshold"}
+
+
 def test_config_validation():
-    with pytest.raises(ValueError, match="n_particles must be >= 2"):
-        FilterConfig(n_particles=1, kernel=KernelSpec("gaussian", 0.25))
-    with pytest.raises(ValueError, match="resample_policy must be one of"):
-        gauss_config(resample_policy="sometimes")
-    # Every-step resampling never reads a threshold, so it may not hold one.
-    with pytest.raises(ValueError, match="read only under ess_threshold"):
-        gauss_config(resample_threshold=10.0)
-    for n, threshold in [(500, 0.5), (100, 101.0)]:
-        with pytest.raises(ValueError, match=r"\[1, n_particles\]"):
-            gauss_config(n=n, resample_policy="ess_threshold", resample_threshold=threshold)
-    for percentile in (0.0, 1.5):
-        with pytest.raises(ValueError, match=r"smc_percentile must lie in \(0, 1\]"):
-            SmcConfig(10, percentile)
-
-
-@pytest.mark.parametrize("n", [100.0, 2.5, True], ids=["float", "fraction", "bool"])
-def test_n_particles_must_be_an_integer(n):
-    # Caught when the config is built, not inside numpy when it runs.
-    for make in (lambda: FilterConfig(n, KernelSpec("gaussian", 0.25)), lambda: SmcConfig(n)):
-        with pytest.raises(ValueError, match=f"n_particles must be an integer, got {n!r}"):
-            make()
+    # Each bad value is caught when the config is built, not inside numpy when
+    # it runs.  Every-step resampling never reads a threshold, so it may not
+    # hold one; a bool or a non-number is not a number here.
+    for build, message in [
+        (partial(FilterConfig, 1, _KERNEL), "n_particles must be >= 2"),
+        *(
+            (partial(make, n), f"n_particles must be an integer, got {n!r}")
+            for n in (100.0, 2.5, True)
+            for make in (partial(FilterConfig, kernel=_KERNEL), SmcConfig)
+        ),
+        (partial(gauss_config, resample_policy="sometimes"), "resample_policy must be one of"),
+        (partial(gauss_config, resample_threshold=10.0), "read only under ess_threshold"),
+        (partial(gauss_config, n=500, resample_threshold=0.5, **_ESS), r"\[1, n_particles\]"),
+        (partial(gauss_config, n=100, resample_threshold=101.0, **_ESS), r"\[1, n_particles\]"),
+        *(
+            (partial(SmcConfig, 64, resample_threshold=bad, **_ESS),
+             "resample_threshold must be a finite real number")
+            for bad in (True, "32")
+        ),
+        *(
+            (partial(SmcConfig, 10, p), r"smc_percentile must lie in \(0, 1\]")
+            for p in (0.0, 1.5)
+        ),
+        *(
+            (partial(SmcConfig, 64, bad), "smc_percentile must be a finite real number")
+            for bad in (True, "0.5", None)
+        ),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_config_numbers_are_stored_as_floats():
-    # An int and the equal float build one config; a bool or a non-number is
-    # not a number here.
-    cfg = SmcConfig(64, 1, resample_policy="ess_threshold", resample_threshold=32)
+    # An int and the equal float build one config, and an unset threshold is
+    # resolved to N/2 under ess_threshold.
+    cfg = SmcConfig(64, 1, resample_threshold=32, **_ESS)
     assert (cfg.smc_percentile, cfg.resample_threshold) == (1.0, 32.0)
     assert type(cfg.smc_percentile) is float and type(cfg.resample_threshold) is float
     assert type(SmcConfig(np.int64(64)).n_particles) is int
-    for bad in (True, "0.5", None):
-        with pytest.raises(ValueError, match="smc_percentile must be a finite real number"):
-            SmcConfig(64, bad)
-    for bad in (True, "32"):
-        with pytest.raises(ValueError, match="resample_threshold must be a finite real number"):
-            SmcConfig(64, resample_policy="ess_threshold", resample_threshold=bad)
+    assert gauss_config(n=300, **_ESS).resample_threshold == 150.0
