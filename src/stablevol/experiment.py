@@ -13,13 +13,13 @@ import csv
 import functools
 import hashlib
 import json
-import sys
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .filters import FilterConfig, FilterOutput, SmcConfig, abc_apf_run, abc_smc_run
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _as_float
 from .proposals import DOF, ProposalSpec
 from .stable import StableParams
 from .svm import SvmParams, Trajectory, simulate
@@ -336,14 +336,11 @@ def load_model_config(path) -> SvmParams:
         raise ValueError(f"config has unknown keys: {extra}")
     values = {}
     for key in _CONFIG_KEYS:
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-        # json accepts NaN and Infinity; an exact int comparison also rejects
-        # integers too large for a float without overflowing.
-        if not abs(value) <= sys.float_info.max:
-            raise ValueError(f"config key {key!r} must be finite, got {value!r}")
-        values[key] = float(value)
+        value = _as_float(f"config key {key!r}", raw[key])
+        # json accepts NaN and Infinity, and an int too large for a float reads inf.
+        if not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {raw[key]!r}")
+        values[key] = value
     return SvmParams(
         mu=values["mu"],
         phi=values["phi"],

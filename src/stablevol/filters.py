@@ -468,7 +468,7 @@ class LinearGaussianParams(AR1State):
         self._require_finite("sigma_y**2", lambda: self.sigma_y**2)
 
     def observe_sample(self, h, rng):
-        return np.asarray(h, dtype=float) + self.sigma_y * rng.standard_normal(np.shape(h))
+        return h + self.sigma_y * rng.standard_normal(np.shape(h))
 
     def observation_scale(self, h):
         """The observation noise scale does not depend on the state: the float

@@ -58,8 +58,6 @@ def _cms(params: StableParams, u, w):
     """CMS transformation of U ~ Uniform(-pi/2, pi/2), W ~ Expo(1) into a
     draw from SD(alpha, beta, gamma)."""
     alpha, beta, g = params.alpha, params.beta, params.gamma
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
     if params.is_alpha_one:
         bu = np.pi / 2.0 + beta * u
         x = (2.0 / np.pi) * (

@@ -61,13 +61,13 @@ from stablevol.experiment import (
     write_boxplot_csv,
     write_summary_csv,
 )
-from stablevol.filters import (
-    FilterConfig, LinearGaussianParams, SmcConfig, abc_apf_run, abc_smc_run
-)
+from stablevol.filters import FilterConfig, SmcConfig, abc_apf_run, abc_smc_run
 from stablevol.kernels import KernelSpec
 from stablevol.proposals import ProposalSpec
 from stablevol.stable import StableParams, sample
 from stablevol.svm import SvmParams, simulate
+
+from _oracles import LG, REFERENCE_CONFIG, gauss_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digest.json"
 
@@ -80,7 +80,7 @@ GAMMAS = (0.5, 1.0, math.e)
 
 MODELS = {
     "reference": reference_model(),
-    "linear-gaussian": LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=0.5),
+    "linear-gaussian": LG,
     **dict(sensitivity_models(1.0, 1.0)),
     # The alpha = 1 branch, where the scale also moves the location.
     "alpha-one": SvmParams(
@@ -97,9 +97,6 @@ NONCENTRAL_MODELS = ("reference", "linear-gaussian")
 
 # Exceptions a run may raise on its inputs; any other one is a fault here.
 _RUN_ERRORS = (ArithmeticError, ValueError, RuntimeError)
-
-# The CLI's model config: the reference model's parameters.
-_CLI_MODEL = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
 
 
 def platform_name() -> str:
@@ -200,9 +197,7 @@ def _stopped_clock():
 
 def _study_groups(tmp: Path) -> dict:
     cells = (
-        GridCell(
-            "abc-apf", FilterConfig(64, KernelSpec("gaussian", 0.5), ProposalSpec("shifted_t"))
-        ),
+        GridCell("abc-apf", gauss_config(0.5, 64)),
         GridCell(
             "abc-apf",
             FilterConfig(
@@ -228,7 +223,7 @@ def _study_groups(tmp: Path) -> dict:
 
 def _cli_groups(tmp: Path) -> dict:
     config, data = tmp / "model.json", tmp / "data.csv"
-    config.write_text(json.dumps(_CLI_MODEL))
+    config.write_text(json.dumps(REFERENCE_CONFIG))
 
     def command(name, *argv, outputs=()):
         for path in outputs:

@@ -12,6 +12,10 @@ compactified coordinate, and the one-term power-law tail outside the grid,
 where scipy's CDF can read 0 (at alpha 1.2, beta 0.3 it does at x = -450).
 The tail meets scipy's values at the grid edges to under 1e-5, far below the
 KS resolution of ~5e-3 at n = 1e5.
+
+The shared models live here too, each spelled out once: the paper's reference
+model (``REFERENCE_CONFIG``, ``svm_model``), the linear-Gaussian check model
+(``LG``) and the Gaussian-kernel ABC-APF config (``gauss_config``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,33 @@ import numpy as np
 from scipy import stats
 from scipy.interpolate import PchipInterpolator
 
+from stablevol.filters import FilterConfig, LinearGaussianParams
+from stablevol.kernels import KernelSpec
+from stablevol.proposals import ProposalSpec
 from stablevol.stable import StableParams
+from stablevol.svm import SvmParams
+
+# --- shared models ----------------------------------------------------------
+
+# The paper's reference model as the CLI's model-config JSON.  Written out by
+# hand, so the tests check ``experiment.reference_model()`` against it.
+REFERENCE_CONFIG = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
+
+# The linear-Gaussian model every check against the Kalman filter runs on.
+LG = LinearGaussianParams(0.0, 0.9, 0.5, 0.5)
+
+
+def svm_model(**overrides) -> SvmParams:
+    """The reference model with any of its six config numbers overridden."""
+    p = {**REFERENCE_CONFIG, **overrides}
+    noise = StableParams(p["alpha"], p["beta"], p["sigma_v"])
+    return SvmParams(p["mu"], p["phi"], p["sigma_h"], noise)
+
+
+def gauss_config(eps=0.25, n=500, proposal="shifted_t", **kw) -> FilterConfig:
+    """An ABC-APF config with a Gaussian kernel of bandwidth ``eps``."""
+    return FilterConfig(n, KernelSpec("gaussian", eps), ProposalSpec(proposal), **kw)
+
 
 # --- frozen hand-derived values -------------------------------------------
 

@@ -28,10 +28,10 @@ import stablevol.experiment as experiment_mod
 from stablevol.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stablevol.proposals import SeriesConvergenceError
 
+from _oracles import REFERENCE_CONFIG
+
 # Spawned commands import this checkout's package, not an installed one.
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-MODEL = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
 
 # The flags each command gets unless a test overrides them; None drops a flag.
 DEFAULTS = {
@@ -55,7 +55,7 @@ class Cli:
         self.model()
 
     def model(self, **overrides):
-        self.config.write_text(json.dumps({**MODEL, **overrides}))
+        self.config.write_text(json.dumps({**REFERENCE_CONFIG, **overrides}))
 
     def argv(self, command, **flags):
         flags = {"config": self.config, **DEFAULTS[command], "out": self.out, **flags}

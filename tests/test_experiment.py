@@ -29,19 +29,14 @@ from stablevol.experiment import (
     write_filtered_csv,
     write_summary_csv,
 )
-from stablevol.filters import FilterConfig, FilterOutput, SmcConfig, abc_apf_run
-from stablevol.kernels import KernelSpec
-from stablevol.proposals import ProposalSpec
+from stablevol.filters import FilterOutput, SmcConfig, abc_apf_run
 from stablevol.svm import simulate
+
+from _oracles import REFERENCE_CONFIG, gauss_config, svm_model
 
 
 def small_cell(eps=0.25, n=50, **kw) -> GridCell:
-    return GridCell(
-        "abc-apf",
-        FilterConfig(
-            n_particles=n, kernel=KernelSpec("gaussian", eps), proposal=ProposalSpec("shifted_t"), **kw
-        ),
-    )
+    return GridCell("abc-apf", gauss_config(eps, n, **kw))
 
 
 def small_spec(cells=None, replicates=3, horizon=20, base_seed=4242) -> StudySpec:
@@ -136,10 +131,8 @@ def test_cell_rejects_unknown_algorithm():
 
 
 def test_reference_model_parameters():
-    m = reference_model()
-    assert (m.mu, m.phi, m.sigma_h) == (-0.2, 0.95, 0.6)
-    assert (m.obs_noise.alpha, m.obs_noise.beta) == (1.75, 0.1)
-    assert m.obs_noise.gamma == 0.8
+    # REFERENCE_CONFIG spells the paper's model out by hand.
+    assert reference_model() == svm_model()
 
 
 def test_benchmark_grid_shape():
@@ -166,7 +159,7 @@ def test_equal_configs_share_one_label():
     # runs as N/2, and an int config number is the equal float.
     ess = {"resample_policy": "ess_threshold"}
     for algo, make in [
-        ("abc-apf", lambda v, **kw: FilterConfig(64, KernelSpec("gaussian", v), **kw, **ess)),
+        ("abc-apf", lambda v, **kw: gauss_config(v, 64, **kw, **ess)),
         ("abc-smc", lambda v, **kw: SmcConfig(64, v, **kw, **ess)),
     ]:
         for a, b in [
@@ -236,18 +229,13 @@ def test_spec_validation():
 
 
 def write_config(tmp_path, **overrides):
-    cfg = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
-    cfg.update(overrides)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**REFERENCE_CONFIG, **overrides}))
     return path
 
 
 def test_load_model_config_roundtrip(tmp_path):
-    model = load_model_config(write_config(tmp_path))
-    ref = reference_model()
-    assert model.mu == ref.mu and model.phi == ref.phi
-    assert model.obs_noise == ref.obs_noise
+    assert load_model_config(write_config(tmp_path)) == reference_model()
 
 
 def test_load_model_config_rejects_bad_inputs(tmp_path):
@@ -264,14 +252,14 @@ def test_load_model_config_rejects_bad_inputs(tmp_path):
     path.write_text(write_config(tmp_path).read_text()[:-1] + ', "mu": 1}')
     with pytest.raises(ValueError, match="repeats"):
         load_model_config(path)
-    cfg = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1)
-    path.write_text(json.dumps(cfg))  # sigma_v missing
+    path.write_text(json.dumps({k: v for k, v in REFERENCE_CONFIG.items() if k != "sigma_v"}))
     with pytest.raises(ValueError):
         load_model_config(path)
     with pytest.raises(ValueError):
         load_model_config(write_config(tmp_path, phi=1.5))
-    with pytest.raises(ValueError):
-        load_model_config(write_config(tmp_path, mu="zero"))
+    for bad in ("zero", True):
+        with pytest.raises(ValueError, match="finite real number"):
+            load_model_config(write_config(tmp_path, mu=bad))
     for key in ("mu", "sigma_h", "sigma_v"):
         for value in (math.nan, math.inf, -math.inf, 10**400):
             # json.dumps writes NaN / Infinity / -Infinity, which json.load accepts;

@@ -4,11 +4,12 @@ reference filter."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablevol.filters as filters_mod
@@ -35,31 +36,7 @@ from stablevol.proposals import ProposalSpec, log_phat
 from stablevol.stable import StableParams
 from stablevol.svm import SvmParams, simulate
 
-from _oracles import KALMAN3_MEANS, KALMAN3_VARS
-
-
-def svm_model(**kw) -> SvmParams:
-    args = dict(mu=-0.2, phi=0.95, sigma_h=0.6, alpha=1.75, beta=0.1, sigma_v=0.8)
-    args.update(kw)
-    return SvmParams(
-        args["mu"],
-        args["phi"],
-        args["sigma_h"],
-        StableParams(args["alpha"], args["beta"], args["sigma_v"]),
-    )
-
-
-def gauss_config(eps=0.25, n=500, proposal="shifted_t", **kw) -> FilterConfig:
-    return FilterConfig(
-        n_particles=n, kernel=KernelSpec("gaussian", eps), proposal=ProposalSpec(proposal), **kw
-    )
-
-
-def smc_config(percentile=0.25, n=500) -> SmcConfig:
-    return SmcConfig(n_particles=n, smc_percentile=percentile)
-
-
-LG = LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=0.5)
+from _oracles import KALMAN3_MEANS, KALMAN3_VARS, LG, gauss_config, svm_model
 
 
 # ---------------------------------------------------------------------------
@@ -75,20 +52,28 @@ def test_normalize_pinned_cases():
     assert np.allclose(quarters, np.log([0.75, 0.25]), atol=1e-12)
 
 
-@given(
-    st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=64).filter(
-        lambda ws: max(ws) - min(ws) < 600.0
-    )
+# Log weights whose spread normalize can resolve.
+_LOG_WEIGHTS = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=64).filter(
+    lambda ws: max(ws) - min(ws) < 600.0
 )
+
+
+@given(_LOG_WEIGHTS)
 def test_normalize_sums_to_one(raw):
     lw = normalize(raw)
     assert abs(float(np.sum(np.exp(lw))) - 1.0) < 1e-12
     assert np.all(np.exp(lw) >= 0.0)
 
 
-def test_normalize_shift_invariance():
-    base = np.array([-1.0, -2.0, -3.0])
-    assert np.allclose(normalize(base), normalize(base + 123.0), atol=1e-12)
+@given(_LOG_WEIGHTS, st.floats(-300.0, 300.0))
+@example([-1.0, -2.0, -3.0], 123.0)
+def test_normalize_shift_invariance(raw, shift):
+    assert np.allclose(normalize(raw), normalize(np.asarray(raw) + shift), atol=1e-12)
+
+
+@given(_LOG_WEIGHTS)
+def test_ess_bounds(raw):
+    assert 1.0 - 1e-9 <= ess(normalize(raw)) <= len(raw) + 1e-9
 
 
 def test_normalize_rejects_all_log_zero():
@@ -114,14 +99,6 @@ def test_ess_pinned_cases():
         ([math.log(0.6), math.log(0.4)], 1.0 / 0.52),
     ]:
         assert ess(lw) == pytest.approx(expected, rel=1e-12)
-
-
-@given(st.lists(st.floats(-30.0, 0.0), min_size=2, max_size=64))
-def test_ess_bounds(raw):
-    lw = normalize(raw)
-    val = ess(lw)
-    n = len(lw)
-    assert 1.0 - 1e-9 <= val <= n + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +376,7 @@ def test_uniform_clouds_share_one_read_only_log_weight_array(scheme, monkeypatch
     [
         lambda ys: abc_apf_run(ys, svm_model(), gauss_config(n=64, proposal="central_t"), 0),
         lambda ys: abc_apf_run(ys, svm_model(), gauss_config(n=64), 0),
-        lambda ys: abc_smc_run(ys, svm_model(), smc_config(n=64), 0),
+        lambda ys: abc_smc_run(ys, svm_model(), SmcConfig(64), 0),
         lambda ys: kalman_run(LG, ys),
     ],
     ids=["apf-central-t", "apf-shifted-t", "smc", "kalman"],
@@ -588,7 +565,7 @@ def test_smc_non_finite_tolerance_is_numerical_failure():
     # infinite: a numerical failure, not a bad bandwidth.
     model = svm_model(mu=1500.0, phi=0.0)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 1"):
-        abc_smc_run([0.1], model, smc_config(n=64), np.random.default_rng(0))
+        abc_smc_run([0.1], model, SmcConfig(64), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("percentile", [0.25, 1.0])
@@ -598,7 +575,7 @@ def test_smc_ess_bounded_by_kept_fraction(percentile):
     model = svm_model()
     data = simulate(model, 10, 3301)
     n = 256
-    out = abc_smc_run(data.y, model, smc_config(percentile, n), np.random.default_rng(3302))
+    out = abc_smc_run(data.y, model, SmcConfig(n, percentile), np.random.default_rng(3302))
     assert out.degeneracy_count == 0
     assert np.all(np.isfinite(out.filtered_mean))
     assert np.all(out.ess_trace <= percentile * n + 1.0)
@@ -609,7 +586,7 @@ def test_smc_ess_bounded_by_kept_fraction(percentile):
 def test_smc_tracks_kalman_roughly_on_linear_gaussian_model():
     xs, ys = LG.simulate(100, 3305)
     k_means, _ = kalman_run(LG, ys)
-    out = abc_smc_run(ys, LG, smc_config(percentile=0.25, n=2000), np.random.default_rng(3306))
+    out = abc_smc_run(ys, LG, SmcConfig(2000, 0.25), np.random.default_rng(3306))
     gap = float(np.mean(np.abs(out.filtered_mean - k_means)))
     assert gap < 0.25
 
@@ -619,27 +596,23 @@ def test_smc_tracks_kalman_roughly_on_linear_gaussian_model():
 # ---------------------------------------------------------------------------
 
 
-def test_kalman_three_step_hand_recursion():
-    lg = LinearGaussianParams(mu=0.0, phi=0.5, sigma_h=1.0, sigma_y=1.0)
-    means, variances = kalman_run(lg, [1.0, -1.0, 2.0])
-    assert np.allclose(means, KALMAN3_MEANS, atol=1e-12)
-    assert np.allclose(variances, KALMAN3_VARS, atol=1e-12)
-
-
-def test_kalman_perfect_observation_limit():
-    lg = LinearGaussianParams(mu=0.0, phi=0.9, sigma_h=0.5, sigma_y=1e-9)
-    ys = [1.5, -0.3, 0.8]
-    means, variances = kalman_run(lg, ys)
-    assert np.allclose(means, ys, atol=1e-6)
-    assert np.all(variances < 1e-12)
-
-
-def test_kalman_static_state_limit_is_shrinkage_path():
-    # A near-static state with stationary mean 0.2 / (1 - 0.9) = 2 and prior
-    # variance ~5e-18 shrinks every observation fully onto that mean.
-    lg = LinearGaussianParams(mu=0.2, phi=0.9, sigma_h=1e-9, sigma_y=0.5)
-    means, _ = kalman_run(lg, np.ones(5))
-    assert np.allclose(means, 2.0, atol=1e-6)
+@pytest.mark.parametrize(
+    "model, ys, means, variances, tol",
+    [
+        # Three steps by hand in exact rationals, from the prior N(0, 4/3).
+        (LinearGaussianParams(0.0, 0.5, 1.0, 1.0), [1.0, -1.0, 2.0], KALMAN3_MEANS, KALMAN3_VARS, 1e-12),
+        # A perfect observation is the filtered state, with no variance left.
+        (replace(LG, sigma_y=1e-9), [1.5, -0.3, 0.8], [1.5, -0.3, 0.8], [0.0] * 3, 1e-12),
+        # A near-static state with stationary mean 0.2 / (1 - 0.9) = 2 and
+        # prior variance ~5e-18 shrinks every observation fully onto that mean.
+        (replace(LG, mu=0.2, sigma_h=1e-9), np.ones(5), [2.0] * 5, [0.0] * 5, 1e-6),
+    ],
+    ids=["three-step", "perfect-observation", "static-state"],
+)
+def test_kalman_recursion_and_limits(model, ys, means, variances, tol):
+    got_means, got_variances = kalman_run(model, ys)
+    assert np.allclose(got_means, means, atol=tol)
+    assert np.allclose(got_variances, variances, atol=tol)
 
 
 def test_linear_gaussian_observation_scale_is_one():
@@ -684,7 +657,7 @@ def _abc_target(eps):
     # With a Gaussian kernel the ABC likelihood on this model is exactly
     # N(y; x, sigma_y^2 + eps^2), so at every eps the ABC-APF targets the
     # Kalman filter whose observation noise is inflated to that scale.
-    return LinearGaussianParams(LG.mu, LG.phi, LG.sigma_h, math.sqrt(LG.sigma_y**2 + eps**2))
+    return replace(LG, sigma_y=math.sqrt(LG.sigma_y**2 + eps**2))
 
 
 def test_abc_bias_falls_to_zero_with_the_bandwidth():
@@ -705,11 +678,7 @@ def test_abc_bias_falls_to_zero_with_the_bandwidth():
 def test_apf_means_match_exact_abc_target(proposal, eps, bound):
     # What is left against the exact target is Monte Carlo error, which grows
     # as eps shrinks (measured 0.008-0.010 at eps 0.5, 0.020-0.026 at 0.05).
-    cfg = FilterConfig(
-        n_particles=5000,
-        kernel=KernelSpec("gaussian", eps),
-        proposal=ProposalSpec(proposal),
-    )
+    cfg = gauss_config(eps, 5000, proposal)
     for s in range(2):
         _, ys = LG.simulate(200, 4000 + s)
         out = abc_apf_run(ys, LG, cfg, np.random.default_rng(5000 + s))
